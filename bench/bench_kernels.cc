@@ -6,12 +6,12 @@
  * the executable implementations, complementing the simulated
  * paper-scale numbers.
  *
- * Each DP kernel is benchmarked twice: the native striped path
- * (default, what production untraced runs execute) and the scalar
- * reference loop (KernelConfig::forceScalar, the traced-path
- * arithmetic without a sink). The tensor primitives likewise pair
- * the blocked branch-free kernels against local copies of the
- * original naive loops, plus pool-parallel variants.
+ * Each DP kernel is benchmarked twice: untraced (what native runs
+ * execute) and traced (`*Traced`: a counting sink attached at trace
+ * stride 16, the paper-figure configuration — the same arithmetic
+ * plus the sampled-cell trace walk). The tensor primitives pair the
+ * blocked branch-free kernels against local copies of the original
+ * naive loops, plus pool-parallel variants.
  *
  * Usage: bench_kernels [--json <path>] [google-benchmark flags]
  *
@@ -48,6 +48,21 @@ constexpr size_t kBenchPoolThreads = 4;
 
 // --- MSA kernels ---------------------------------------------------------
 
+/** Trace stride of the `*Traced` variants (the paper-figure runs). */
+constexpr uint32_t kBenchTraceStride = 16;
+
+/** Sink that only counts events, so a traced benchmark times the
+ *  kernel and its trace walk rather than a cache simulator. */
+class CountingSink : public MemTraceSink
+{
+  public:
+    uint64_t events = 0;
+
+    void access(const MemAccess &) override { ++events; }
+    void instructions(FuncId, uint64_t) override { ++events; }
+    void branches(FuncId, uint64_t, uint64_t) override { ++events; }
+};
+
 msa::ProfileHmm
 benchProfile(size_t m, uint64_t seed)
 {
@@ -58,17 +73,19 @@ benchProfile(size_t m, uint64_t seed)
 }
 
 void
-runMsvFilter(benchmark::State &state, bool scalar)
+runMsvFilter(benchmark::State &state, bool traced)
 {
     const auto m = static_cast<size_t>(state.range(0));
     bio::SequenceGenerator gen(1);
     const auto t = gen.random("t", bio::MoleculeType::Protein, 400);
     const auto prof = benchProfile(m, 1);
     msa::KernelConfig cfg;
-    cfg.forceScalar = scalar;
+    cfg.traceStride = kBenchTraceStride;
+    CountingSink sink;
+    MemTraceSink *traceSink = traced ? &sink : nullptr;
     uint64_t cells = 0;
     for (auto _ : state) {
-        const auto r = msa::msvFilter(prof, t, cfg);
+        const auto r = msa::msvFilter(prof, t, cfg, traceSink);
         benchmark::DoNotOptimize(r.score);
         cells += r.cells;
     }
@@ -84,14 +101,14 @@ BM_MsvFilter(benchmark::State &state)
 BENCHMARK(BM_MsvFilter)->Arg(128)->Arg(256)->Arg(512);
 
 void
-BM_MsvFilterScalar(benchmark::State &state)
+BM_MsvFilterTraced(benchmark::State &state)
 {
     runMsvFilter(state, true);
 }
-BENCHMARK(BM_MsvFilterScalar)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_MsvFilterTraced)->Arg(128)->Arg(256)->Arg(512);
 
 void
-runCalcBand9(benchmark::State &state, bool scalar)
+runCalcBand9(benchmark::State &state, bool traced)
 {
     const auto m = static_cast<size_t>(state.range(0));
     bio::SequenceGenerator gen(2);
@@ -99,10 +116,12 @@ runCalcBand9(benchmark::State &state, bool scalar)
     const auto prof = benchProfile(m, 2);
     msa::KernelConfig cfg;
     cfg.band = static_cast<size_t>(state.range(1));
-    cfg.forceScalar = scalar;
+    cfg.traceStride = kBenchTraceStride;
+    CountingSink sink;
+    MemTraceSink *traceSink = traced ? &sink : nullptr;
     uint64_t cells = 0;
     for (auto _ : state) {
-        const auto r = msa::calcBand9(prof, t, cfg);
+        const auto r = msa::calcBand9(prof, t, cfg, traceSink);
         benchmark::DoNotOptimize(r.score);
         cells += r.cells;
     }
@@ -122,18 +141,18 @@ BENCHMARK(BM_CalcBand9)
     ->Args({256, 16});
 
 void
-BM_CalcBand9Scalar(benchmark::State &state)
+BM_CalcBand9Traced(benchmark::State &state)
 {
     runCalcBand9(state, true);
 }
-BENCHMARK(BM_CalcBand9Scalar)
+BENCHMARK(BM_CalcBand9Traced)
     ->Args({128, 96})
     ->Args({256, 96})
     ->Args({512, 96})
     ->Args({256, 16});
 
 void
-runCalcBand10(benchmark::State &state, bool scalar)
+runCalcBand10(benchmark::State &state, bool traced)
 {
     const auto m = static_cast<size_t>(state.range(0));
     bio::SequenceGenerator gen(3);
@@ -141,10 +160,12 @@ runCalcBand10(benchmark::State &state, bool scalar)
     const auto prof = benchProfile(m, 3);
     msa::KernelConfig cfg;
     cfg.band = static_cast<size_t>(state.range(1));
-    cfg.forceScalar = scalar;
+    cfg.traceStride = kBenchTraceStride;
+    CountingSink sink;
+    MemTraceSink *traceSink = traced ? &sink : nullptr;
     uint64_t cells = 0;
     for (auto _ : state) {
-        const auto r = msa::calcBand10(prof, t, cfg);
+        const auto r = msa::calcBand10(prof, t, cfg, traceSink);
         benchmark::DoNotOptimize(r.logOdds);
         cells += r.cells;
     }
@@ -164,11 +185,11 @@ BENCHMARK(BM_CalcBand10)
     ->Args({256, 16});
 
 void
-BM_CalcBand10Scalar(benchmark::State &state)
+BM_CalcBand10Traced(benchmark::State &state)
 {
     runCalcBand10(state, true);
 }
-BENCHMARK(BM_CalcBand10Scalar)
+BENCHMARK(BM_CalcBand10Traced)
     ->Args({128, 96})
     ->Args({256, 96})
     ->Args({512, 96})

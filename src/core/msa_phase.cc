@@ -79,6 +79,12 @@ runMsaPhase(const bio::Complex &complex_input,
             const sys::PlatformSpec &platform,
             const Workspace &workspace, const MsaPhaseOptions &options)
 {
+    // The phase always traces, and a traced scan cannot sample with a
+    // zero stride (the kernels' block test would divide by zero).
+    if (options.traceStride == 0)
+        fatal("runMsaPhase: MsaPhaseOptions::traceStride must be at "
+              "least 1");
+
     MsaPhaseResult result;
     const uint32_t threads = std::max<uint32_t>(1, options.threads);
 
@@ -100,9 +106,13 @@ runMsaPhase(const bio::Complex &complex_input,
 
     // --- Per-thread simulators and pool ---------------------------------
     ThreadPool pool(threads);
-    auto makeSims = [&] {
-        std::vector<std::unique_ptr<cachesim::HierarchySim>> sims;
-        std::vector<MemTraceSink *> sinks;
+    using Sims = std::vector<std::unique_ptr<cachesim::HierarchySim>>;
+    // Built on the first chain of their type: an unfed simulator
+    // reports no counters, so a complex without RNA chains (or
+    // without protein chains) needs no simulators of that type.
+    auto makeSims = [&](Sims &sims, std::vector<MemTraceSink *> &sinks) {
+        if (!sims.empty())
+            return;
         for (uint32_t t = 0; t < threads; ++t) {
             cachesim::HierarchyConfig hcfg;
             hcfg.cpu = platform.cpu;
@@ -117,7 +127,6 @@ runMsaPhase(const bio::Complex &complex_input,
                                     kernelDefaults.arenaBytes);
             sinks.push_back(sims.back().get());
         }
-        return std::pair(std::move(sims), std::move(sinks));
     };
 
     // Page cache sized by what DRAM leaves after the tool footprint.
@@ -133,8 +142,8 @@ runMsaPhase(const bio::Complex &complex_input,
     double proteinPasses = 0.0;
     double rnaPasses = 0.0;
 
-    auto [proteinSims, proteinSinks] = makeSims();
-    auto [rnaSims, rnaSinks] = makeSims();
+    Sims proteinSims, rnaSims;
+    std::vector<MemTraceSink *> proteinSinks, rnaSinks;
 
     msa::JackhmmerConfig jcfg;
     jcfg.iterations = options.jackhmmerIterations;
@@ -171,6 +180,7 @@ runMsaPhase(const bio::Complex &complex_input,
                 }
             }
             if (!cached) {
+                makeSims(proteinSims, proteinSinks);
                 const auto jr = msa::runJackhmmer(
                     chain, workspace.proteinDb(), pageCache, &pool,
                     jcfg, 0.0, proteinSinks);
@@ -183,6 +193,7 @@ runMsaPhase(const bio::Complex &complex_input,
             break;
           }
           case bio::MoleculeType::Rna: {
+            makeSims(rnaSims, rnaSinks);
             const auto nr =
                 msa::runNhmmer(chain, workspace.rnaDb(), pageCache,
                                &pool, ncfg, 0.0, rnaSinks);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/simd.hh"
@@ -131,18 +132,17 @@ bandBounds(size_t j, size_t target_len, size_t profile_len,
 }
 
 /*
- * Native (untraced) striped kernels
- * ---------------------------------
- * The scalar loops above interleave trace emission with the DP
- * recurrence, which forces a branch and a strided int16 emission
- * lookup into every cell. The implementations below are what runs on
- * the wall-clock path (sink == nullptr): per-residue emission rows
- * are transposed into contiguous int/double arrays once per target,
- * and each DP row is computed in stripes the compiler autovectorizes
- * — the M and I states depend only on the previous row, the
- * loop-carried D state runs as a short scalar second pass. Integer
- * results are bit-identical to the scalar path; the Forward kernel
- * evaluates the same expressions in the same accumulation order.
+ * Striped kernels
+ * ---------------
+ * The arithmetic every caller runs, traced or not: per-residue
+ * emission rows are transposed into contiguous int/double arrays once
+ * per target, and each DP row is computed in stripes the compiler
+ * autovectorizes — the M and I states depend only on the previous
+ * row, the loop-carried D state runs as a short scalar second pass.
+ * Their integer results (scores, endpoints, cell counts) are
+ * bit-identical to the cell-by-cell scalar recurrence; the striped
+ * Forward agrees with it to within FP contraction, so traced runs use
+ * calcBand10Ordered instead.
  */
 
 /** Transposed per-residue int emission rows, filled lazily so short
@@ -398,144 +398,22 @@ calcBand10Fast(const ProfileHmm &prof, const bio::Sequence &target,
     return result;
 }
 
-} // namespace
-
-MsvResult
-msvFilter(const ProfileHmm &prof, const bio::Sequence &target,
-          const KernelConfig &cfg, MemTraceSink *sink)
-{
-    const size_t M = prof.length();
-    const size_t L = target.length();
-    MsvResult result;
-    if (L == 0 || M == 0)
-        return result;
-    if (sink == nullptr && !cfg.forceScalar)
-        return msvFilterFast(prof, target);
-
-    // Single rolling row: S[k] = best ungapped segment ending at
-    // (j, k). Two alternating buffers keep diagonal dependencies.
-    std::vector<int> prev(M + 1, 0);
-    std::vector<int> cur(M + 1, 0);
-
-    const uint64_t blockStride =
-        static_cast<uint64_t>(kSimdWidth) * cfg.traceStride;
-    const uint64_t slot = dpSlot((M + 1) * sizeof(int));
-    uint64_t vPrev = kDpBase;
-    uint64_t vCur = kDpBase + slot;
-    int best = 0;
-    uint64_t cell = 0;
-    // The integer filter pipeline (SSV/MSV + Viterbi) is what the
-    // paper's calc_band_9 symbol covers; attribute it there.
-    const FuncId func = wellknown::calcBand9();
-    for (size_t j = 1; j <= L; ++j) {
-        const uint8_t res = target[j - 1];
-        cur[0] = 0;
-        for (size_t k = 1; k <= M; ++k) {
-            const int emit = prof.matchScore(k - 1, res);
-            const int s = std::max(0, prev[k - 1] + emit);
-            cur[k] = s;
-            best = std::max(best, s);
-            if (sink && (cell % blockStride) == 0)
-                emitBlock(sink, cfg, func,
-                          profAddr(prof, k - 1, res),
-                          vPrev + (k - 1) * sizeof(int),
-                          vCur + k * sizeof(int), j - 1, cell);
-            ++cell;
-        }
-        prev.swap(cur);
-        std::swap(vPrev, vCur);
-    }
-    result.score = best;
-    result.cells = cell;
-    if (sink)
-        finishKernel(sink, func, cell, kMsvInstrNum, kMsvInstrDen,
-                     16);
-    return result;
-}
-
-ViterbiResult
-calcBand9(const ProfileHmm &prof, const bio::Sequence &target,
-          const KernelConfig &cfg, MemTraceSink *sink)
-{
-    const size_t M = prof.length();
-    const size_t L = target.length();
-    ViterbiResult result;
-    if (L == 0 || M == 0)
-        return result;
-    if (sink == nullptr && !cfg.forceScalar)
-        return calcBand9Fast(prof, target, cfg);
-
-    const int open = prof.gaps().open;
-    const int extend = prof.gaps().extend;
-
-    std::vector<int> prevM(M + 1, kNeg), prevI(M + 1, kNeg),
-        prevD(M + 1, kNeg);
-    std::vector<int> curM(M + 1, kNeg), curI(M + 1, kNeg),
-        curD(M + 1, kNeg);
-
-    const uint64_t blockStride =
-        static_cast<uint64_t>(kSimdWidth) * cfg.traceStride;
-    // Six rows allocated back to back: prevM/I/D then curM/I/D.
-    const uint64_t slot = dpSlot((M + 1) * sizeof(int));
-    uint64_t vPrevM = kDpBase;
-    uint64_t vCurM = kDpBase + 3 * slot;
-    int best = 0;
-    uint64_t cell = 0;
-    const FuncId func = wellknown::calcBand9();
-
-    for (size_t j = 1; j <= L; ++j) {
-        const uint8_t res = target[j - 1];
-        size_t kLo, kHi;
-        bandBounds(j, L, M, cfg.band, kLo, kHi);
-        std::fill(curM.begin(), curM.end(), kNeg);
-        std::fill(curI.begin(), curI.end(), kNeg);
-        std::fill(curD.begin(), curD.end(), kNeg);
-
-        for (size_t k = kLo; k <= kHi; ++k) {
-            const int emit = prof.matchScore(k - 1, res);
-            const int diag = std::max(
-                {0, prevM[k - 1], prevI[k - 1], prevD[k - 1]});
-            const int m = diag + emit;
-            curM[k] = m;
-            curI[k] = std::max(prevM[k] - open, prevI[k] - extend);
-            curD[k] =
-                std::max(curM[k - 1] - open, curD[k - 1] - extend);
-            if (m > best) {
-                best = m;
-                result.endTarget = j - 1;
-                result.endProfile = k - 1;
-            }
-            if (sink && (cell % blockStride) == 0)
-                emitBlock(sink, cfg, func,
-                          profAddr(prof, k - 1, res),
-                          vPrevM + (k - 1) * sizeof(int),
-                          vCurM + k * sizeof(int), j - 1, cell);
-            ++cell;
-        }
-        prevM.swap(curM);
-        prevI.swap(curI);
-        prevD.swap(curD);
-        std::swap(vPrevM, vCurM);
-    }
-    result.score = best;
-    result.cells = cell;
-    if (sink)
-        finishKernel(sink, func, cell, kViterbiInstrNum,
-                     kViterbiInstrDen, 8);
-    return result;
-}
-
+/**
+ * Forward in the cell-by-cell scalar order: the same expressions,
+ * evaluated and accumulated one cell at a time in ascending k, with
+ * the emission probability read from the per-residue table (the same
+ * exp2 call per (pos, res), so the values are bit-identical). This is
+ * the traced path's arithmetic — its log-odds bits are part of the
+ * simulator contract, and the striped Forward only agrees to within
+ * FP contraction.
+ */
 ForwardResult
-calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
-           const KernelConfig &cfg, MemTraceSink *sink)
+calcBand10Ordered(const ProfileHmm &prof, const bio::Sequence &target,
+                  const KernelConfig &cfg)
 {
     const size_t M = prof.length();
     const size_t L = target.length();
     ForwardResult result;
-    if (L == 0 || M == 0)
-        return result;
-    if (sink == nullptr && !cfg.forceScalar)
-        return calcBand10Fast(prof, target, cfg);
 
     // Probability-space Forward with per-row rescaling (the HMMER3
     // approach). Emission probabilities come from half-bit scores:
@@ -544,24 +422,18 @@ calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
     constexpr double tMI = 0.05, tII = 0.60;
     constexpr double tMD = 0.05, tDD = 0.60;
     const double entry = 1.0 / static_cast<double>(M);
+    DoubleEmissions emit(prof);
 
     std::vector<double> prevM(M + 1, 0.0), prevI(M + 1, 0.0),
         prevD(M + 1, 0.0);
     std::vector<double> curM(M + 1, 0.0), curI(M + 1, 0.0),
         curD(M + 1, 0.0);
 
-    const uint64_t blockStride =
-        static_cast<uint64_t>(kSimdWidth) * cfg.traceStride;
-    const uint64_t slot = dpSlot((M + 1) * sizeof(double));
-    uint64_t vPrevM = kDpBase;
-    uint64_t vCurM = kDpBase + 3 * slot;
     double total = 0.0;
     double logScale = 0.0;
-    uint64_t cell = 0;
-    const FuncId func = wellknown::calcBand10();
-
+    uint64_t cells = 0;
     for (size_t j = 1; j <= L; ++j) {
-        const uint8_t res = target[j - 1];
+        const double *e = emit.row(target[j - 1]);
         size_t kLo, kHi;
         bandBounds(j, L, M, cfg.band, kLo, kHi);
         std::fill(curM.begin(), curM.end(), 0.0);
@@ -570,22 +442,14 @@ calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
 
         double rowMax = 0.0;
         for (size_t k = kLo; k <= kHi; ++k) {
-            const double emit = std::exp2(
-                0.5 * prof.matchScore(k - 1, res));
             const double m =
-                emit * (prevM[k - 1] * tMM + prevI[k - 1] * tIM +
-                        prevD[k - 1] * tDM + entry);
+                e[k - 1] * (prevM[k - 1] * tMM + prevI[k - 1] * tIM +
+                            prevD[k - 1] * tDM + entry);
             curM[k] = m;
             curI[k] = prevM[k] * tMI + prevI[k] * tII;
             curD[k] = curM[k - 1] * tMD + curD[k - 1] * tDD;
             total += m * 0.05;  // exit mass
             rowMax = std::max(rowMax, m);
-            if (sink && (cell % blockStride) == 0)
-                emitBlock(sink, cfg, func,
-                          profAddr(prof, k - 1, res),
-                          vPrevM + (k - 1) * sizeof(double),
-                          vCurM + k * sizeof(double), j - 1, cell);
-            ++cell;
         }
 
         // Rescale to avoid overflow on long, similar targets.
@@ -599,17 +463,126 @@ calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
             total *= inv;
             logScale += 100.0 * std::log2(10.0);
         }
+        cells += kHi - kLo + 1;
         prevM.swap(curM);
         prevI.swap(curI);
         prevD.swap(curD);
-        std::swap(vPrevM, vCurM);
     }
     result.logOdds =
         total > 0.0 ? std::log2(total) + logScale : -1e9;
-    result.cells = cell;
-    if (sink)
-        finishKernel(sink, func, cell, kForwardInstrNum,
-                     kForwardInstrDen, 16);
+    result.cells = cells;
+    return result;
+}
+
+/** A zero stride would divide by zero in emitBlock and never advance
+ *  the sampled-cell walk: reject it as a configuration error. */
+inline void
+requireTraceStride(const KernelConfig &cfg, const MemTraceSink *sink,
+                   const char *kernel)
+{
+    if (sink && cfg.traceStride == 0)
+        fatal(std::string(kernel) +
+              ": KernelConfig::traceStride must be at least 1 when "
+              "a trace sink is attached");
+}
+
+/**
+ * Emit the reference bundles of a kernel's sampled cells — cell
+ * index ≡ 0 mod kSimdWidth·traceStride in row-major cell order; the
+ * caller adds finishKernel. Every emitted address depends only on
+ * (row, column, residue, cell index), never on a DP value, so this
+ * walk visits the sampled cells alone and the sink sees exactly the
+ * calls a cell-by-cell loop would make between its arithmetic. Row j
+ * covers columns [kLo, kHi] from bandBounds (all M columns when
+ * @p banded is false); the virtual DP read and write rows of
+ * @p elem_bytes-wide entries alternate as the kernel swaps them.
+ */
+void
+traceSampledCells(const ProfileHmm &prof, const bio::Sequence &target,
+                  const KernelConfig &cfg, MemTraceSink *sink,
+                  FuncId func, bool banded, uint64_t elem_bytes)
+{
+    const size_t M = prof.length();
+    const size_t L = target.length();
+    const uint64_t blockStride =
+        static_cast<uint64_t>(kSimdWidth) * cfg.traceStride;
+    // MSV keeps two rows (prev, cur); the banded kernels keep six,
+    // allocated back to back: prevM/I/D then curM/I/D.
+    const uint64_t slot = dpSlot((M + 1) * elem_bytes);
+    uint64_t vPrev = kDpBase;
+    uint64_t vCur = kDpBase + (banded ? 3 : 1) * slot;
+    uint64_t first = 0;   // cell index of the row's first cell
+    uint64_t sampled = 0; // next sampled cell index
+    for (size_t j = 1; j <= L; ++j) {
+        size_t kLo = 1, kHi = M;
+        if (banded)
+            bandBounds(j, L, M, cfg.band, kLo, kHi);
+        const uint64_t end = first + (kHi - kLo + 1);
+        const uint8_t res = target[j - 1];
+        for (; sampled < end; sampled += blockStride) {
+            const size_t k = kLo + (sampled - first);
+            emitBlock(sink, cfg, func, profAddr(prof, k - 1, res),
+                      vPrev + (k - 1) * elem_bytes,
+                      vCur + k * elem_bytes, j - 1, sampled);
+        }
+        first = end;
+        std::swap(vPrev, vCur);
+    }
+}
+
+} // namespace
+
+MsvResult
+msvFilter(const ProfileHmm &prof, const bio::Sequence &target,
+          const KernelConfig &cfg, MemTraceSink *sink)
+{
+    requireTraceStride(cfg, sink, "msvFilter");
+    if (target.length() == 0 || prof.length() == 0)
+        return {};
+    const MsvResult result = msvFilterFast(prof, target);
+    if (sink == nullptr)
+        return result;
+    // The integer filter pipeline (SSV/MSV + Viterbi) is what the
+    // paper's calc_band_9 symbol covers; attribute it there.
+    const FuncId func = wellknown::calcBand9();
+    traceSampledCells(prof, target, cfg, sink, func, false, sizeof(int));
+    finishKernel(sink, func, result.cells, kMsvInstrNum, kMsvInstrDen,
+                 16);
+    return result;
+}
+
+ViterbiResult
+calcBand9(const ProfileHmm &prof, const bio::Sequence &target,
+          const KernelConfig &cfg, MemTraceSink *sink)
+{
+    requireTraceStride(cfg, sink, "calcBand9");
+    if (target.length() == 0 || prof.length() == 0)
+        return {};
+    const ViterbiResult result = calcBand9Fast(prof, target, cfg);
+    if (sink == nullptr)
+        return result;
+    const FuncId func = wellknown::calcBand9();
+    traceSampledCells(prof, target, cfg, sink, func, true, sizeof(int));
+    finishKernel(sink, func, result.cells, kViterbiInstrNum,
+                 kViterbiInstrDen, 8);
+    return result;
+}
+
+ForwardResult
+calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
+           const KernelConfig &cfg, MemTraceSink *sink)
+{
+    requireTraceStride(cfg, sink, "calcBand10");
+    if (target.length() == 0 || prof.length() == 0)
+        return {};
+    if (sink == nullptr)
+        return calcBand10Fast(prof, target, cfg);
+    const ForwardResult result = calcBand10Ordered(prof, target, cfg);
+    const FuncId func = wellknown::calcBand10();
+    traceSampledCells(prof, target, cfg, sink, func, true,
+                      sizeof(double));
+    finishKernel(sink, func, result.cells, kForwardInstrNum,
+                 kForwardInstrDen, 16);
     return result;
 }
 

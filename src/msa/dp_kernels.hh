@@ -20,25 +20,30 @@
  * reference stream plus instruction/branch counts so the cache
  * simulator can reproduce the paper's per-platform counters.
  *
- * Two execution paths
- * -------------------
- * Each kernel has two implementations that compute the same values:
+ * One arithmetic path, a separate trace walk
+ * ------------------------------------------
+ * The scores always come from branch-light striped loops over
+ * transposed per-residue emission rows, written so the compiler
+ * autovectorizes the previous-row-only recurrences (M/I states; the
+ * loop-carried D state runs as a short scalar pass). msvFilter and
+ * calcBand9 return bit-identical results to the cell-by-cell scalar
+ * recurrence whether or not a sink is attached. calcBand10 runs the
+ * striped Forward untraced; with a sink it keeps the scalar cell
+ * order (same expressions, same ascending-k accumulation) over the
+ * same per-residue exp2 table, because its log-odds bits are part of
+ * the traced contract and the striped Forward agrees only to within
+ * FP contraction.
  *
- *  - traced/scalar: the reference cell-by-cell loop, interleaved
- *    with per-SIMD-block trace emission. Selected whenever a
- *    MemTraceSink is attached (or KernelConfig::forceScalar is set).
- *    Its trace stream, instruction counts, and results are the
- *    stability contract for the cache simulator — they must stay
- *    byte-identical across refactors.
- *  - native/striped: branch-light loops over transposed per-residue
- *    emission rows, written so the compiler autovectorizes the
- *    previous-row-only recurrences (M/I states; the loop-carried D
- *    state runs as a short scalar pass). Selected when no sink is
- *    attached — the wall-clock path the paper's Table IV timings
- *    come from. Integer kernels (msvFilter, calcBand9) return
- *    bit-identical results to the scalar path; calcBand10 evaluates
- *    the same expressions in the same order, differing at most by
- *    FP contraction when the compiler fuses multiply-adds.
+ * With a sink attached, the trace comes from a separate walk over
+ * only the sampled cells (one 16-cell SIMD block in traceStride).
+ * No emitted address depends on a DP value, and the arithmetic never
+ * calls the sink, so the sink sees the same accesses, instruction
+ * batches and branch batches, in the same order, as the original
+ * interleaved scalar loops. That stream is the stability contract
+ * for the cache simulator: tests/msa/test_traced_determinism.cc pins
+ * golden hashes of it, and tests/msa/dp_reference.cc keeps the
+ * original emitting scalar loops as a test-only oracle the kernels
+ * are checked against event for event.
  */
 
 #ifndef AFSB_MSA_DP_KERNELS_HH
@@ -63,7 +68,8 @@ struct KernelConfig
      * Trace sampling stride in SIMD blocks: with a sink attached,
      * one 16-cell SIMD block in @p traceStride emits its memory
      * references (the consumer weights misses back by the same
-     * stride). 1 = every block.
+     * stride). 1 = every block; 0 is rejected with a FatalError
+     * when a sink is attached.
      */
     uint32_t traceStride = 1;
 
@@ -93,13 +99,6 @@ struct KernelConfig
      */
     uint64_t arenaBase = 0x7f50'0000'0000ull;
     uint64_t arenaBytes = 13ull << 20;
-
-    /**
-     * Force the traced/scalar reference loops even without a sink.
-     * Used by equivalence tests and the bench_kernels baselines; the
-     * untraced default picks the striped native path.
-     */
-    bool forceScalar = false;
 };
 
 /** Cells between successive arena capacity references. */

@@ -31,6 +31,9 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
 {
     if (query.type() == bio::MoleculeType::Protein)
         fatal("nhmmer: nucleotide queries only");
+    if (!sinks.empty() && cfg.search.kernel.traceStride == 0)
+        fatal("nhmmer: KernelConfig::traceStride must be at least 1 "
+              "for a traced scan");
 
     NhmmerResult out;
     out.modeledPeakMemory = nhmmerPeakMemoryBytes(query.length());

@@ -370,6 +370,9 @@ searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
     const size_t workers = scanWorkers(cfg, pool, "searchDatabase");
     if (!sinks.empty() && sinks.size() < workers)
         fatal("searchDatabase: fewer sinks than workers");
+    if (!sinks.empty() && cfg.kernel.traceStride == 0)
+        fatal("searchDatabase: KernelConfig::traceStride must be at "
+              "least 1 for a traced scan");
 
     SearchResult result;
     // Shard subrange [b, e): the default config covers the whole

@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "core/adaptive_threads.hh"
 #include "core/memory_estimator.hh"
 #include "core/pipeline.hh"
+#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace afsb::core {
@@ -57,6 +59,23 @@ TEST(MsaPhase, ProducesPaperScaleTimesAndDepths)
     EXPECT_GT(r.totals.instructions, 0u);
     EXPECT_GT(r.timing.effectiveIpc, 1.0);
     EXPECT_LT(r.timing.effectiveIpc, 4.5);
+}
+
+TEST(MsaPhase, ZeroTraceStrideIsFatal)
+{
+    // The phase always traces; a zero stride is rejected by name
+    // before any scan (or simulator build) starts.
+    const auto &ws = Workspace::shared();
+    const auto sample = bio::makeSample("2PV7");
+    auto opt = fastMsa();
+    opt.traceStride = 0;
+    try {
+        runMsaPhase(sample.complex, sys::serverPlatform(), ws, opt);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("traceStride"),
+                  std::string::npos);
+    }
 }
 
 TEST(MsaPhase, DnaChainsAreExcluded)

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "bio/seqgen.hh"
+#include "dp_reference.hh"
 #include "msa/dp_kernels.hh"
+#include "util/logging.hh"
 
 namespace afsb::msa {
 namespace {
@@ -22,7 +25,7 @@ profFor(const Sequence &q)
     return ProfileHmm::fromSequence(q, ScoreMatrix::blosum62());
 }
 
-/** Sink that only counts references (forces the traced path). */
+/** Sink that only counts references (selects the traced path). */
 class CountingTraceSink : public MemTraceSink
 {
   public:
@@ -216,10 +219,10 @@ INSTANTIATE_TEST_SUITE_P(MutationSweep, KernelDominance,
                          ::testing::Values(0.0, 0.05, 0.1, 0.2, 0.3,
                                            0.4));
 
-// --- native / scalar path equivalence -----------------------------------
+// --- striped / scalar reference equivalence -----------------------------
 //
 // The untraced kernels are a separate striped implementation; these
-// sweeps pin them to the scalar reference (KernelConfig::forceScalar)
+// sweeps pin them to the scalar reference oracle (dp_reference.hh)
 // over odd lengths, non-lane-multiple lengths, band widths from
 // degenerate to unbanded, and both alphabets.
 
@@ -236,10 +239,8 @@ TEST(KernelEquivalence, MsvBitIdenticalToScalar)
         for (size_t l : kTargetLens) {
             const auto t =
                 gen.random("t", MoleculeType::Protein, l);
-            KernelConfig scalar;
-            scalar.forceScalar = true;
             const auto fast = msvFilter(prof, t);
-            const auto ref = msvFilter(prof, t, scalar);
+            const auto ref = reference::msvFilter(prof, t);
             EXPECT_EQ(fast.score, ref.score)
                 << "M=" << m << " L=" << l;
             EXPECT_EQ(fast.cells, ref.cells);
@@ -259,10 +260,8 @@ TEST(KernelEquivalence, Band9BitIdenticalToScalar)
             for (size_t band : kBands) {
                 KernelConfig cfg;
                 cfg.band = band;
-                KernelConfig scalar = cfg;
-                scalar.forceScalar = true;
                 const auto fast = calcBand9(prof, t, cfg);
-                const auto ref = calcBand9(prof, t, scalar);
+                const auto ref = reference::calcBand9(prof, t, cfg);
                 EXPECT_EQ(fast.score, ref.score)
                     << "M=" << m << " L=" << l << " band=" << band;
                 EXPECT_EQ(fast.endTarget, ref.endTarget);
@@ -290,10 +289,8 @@ TEST(KernelEquivalence, Band9HomologEndpointsMatch)
         for (size_t band : kBands) {
             KernelConfig cfg;
             cfg.band = band;
-            KernelConfig scalar = cfg;
-            scalar.forceScalar = true;
             const auto fast = calcBand9(prof, *t, cfg);
-            const auto ref = calcBand9(prof, *t, scalar);
+            const auto ref = reference::calcBand9(prof, *t, cfg);
             EXPECT_EQ(fast.score, ref.score) << "band=" << band;
             EXPECT_EQ(fast.endTarget, ref.endTarget);
             EXPECT_EQ(fast.endProfile, ref.endProfile);
@@ -313,10 +310,8 @@ TEST(KernelEquivalence, Band10MatchesScalarWithinTolerance)
             for (size_t band : kBands) {
                 KernelConfig cfg;
                 cfg.band = band;
-                KernelConfig scalar = cfg;
-                scalar.forceScalar = true;
                 const auto fast = calcBand10(prof, t, cfg);
-                const auto ref = calcBand10(prof, t, scalar);
+                const auto ref = reference::calcBand10(prof, t, cfg);
                 EXPECT_EQ(fast.cells, ref.cells);
                 const double tol =
                     1e-4 * std::max(1.0, std::abs(ref.logOdds));
@@ -333,10 +328,8 @@ TEST(KernelEquivalence, Band10RescalingPathMatches)
     bio::SequenceGenerator gen(104);
     const auto q = gen.random("q", MoleculeType::Protein, 800);
     const auto prof = profFor(q);
-    KernelConfig scalar;
-    scalar.forceScalar = true;
     const auto fast = calcBand10(prof, q);
-    const auto ref = calcBand10(prof, q, scalar);
+    const auto ref = reference::calcBand10(prof, q);
     EXPECT_TRUE(std::isfinite(fast.logOdds));
     EXPECT_NEAR(fast.logOdds, ref.logOdds,
                 1e-4 * std::abs(ref.logOdds));
@@ -351,38 +344,77 @@ TEST(KernelEquivalence, NucleotideAlphabetMatches)
     bio::MutationParams params;
     params.substitutionRate = 0.15;
     const auto t = gen.mutate(q, "t", params);
-    KernelConfig scalar;
-    scalar.forceScalar = true;
     EXPECT_EQ(msvFilter(prof, t).score,
-              msvFilter(prof, t, scalar).score);
+              reference::msvFilter(prof, t).score);
     const auto fastV = calcBand9(prof, t);
-    const auto refV = calcBand9(prof, t, scalar);
+    const auto refV = reference::calcBand9(prof, t);
     EXPECT_EQ(fastV.score, refV.score);
     EXPECT_EQ(fastV.endTarget, refV.endTarget);
     EXPECT_EQ(fastV.endProfile, refV.endProfile);
     const auto fastF = calcBand10(prof, t);
-    const auto refF = calcBand10(prof, t, scalar);
+    const auto refF = reference::calcBand10(prof, t);
     EXPECT_NEAR(fastF.logOdds, refF.logOdds,
                 1e-4 * std::max(1.0, std::abs(refF.logOdds)));
 }
 
-TEST(KernelEquivalence, TracedPathMatchesForceScalar)
+TEST(KernelEquivalence, TracedPathMatchesReference)
 {
-    // A sink must select the scalar loops: results with a sink
-    // attached equal forceScalar exactly, including trace-free runs.
+    // Results with a sink attached equal the scalar reference
+    // exactly, Forward log-odds bits included.
     bio::SequenceGenerator gen(106);
     const auto q = gen.random("q", MoleculeType::Protein, 120);
     const auto t = gen.random("t", MoleculeType::Protein, 200);
     const auto prof = profFor(q);
     CountingTraceSink sink;
     KernelConfig cfg;
-    KernelConfig scalar;
-    scalar.forceScalar = true;
     EXPECT_EQ(calcBand9(prof, t, cfg, &sink).score,
-              calcBand9(prof, t, scalar).score);
+              reference::calcBand9(prof, t, cfg).score);
     EXPECT_EQ(calcBand10(prof, t, cfg, &sink).logOdds,
-              calcBand10(prof, t, scalar).logOdds);
+              reference::calcBand10(prof, t, cfg).logOdds);
     EXPECT_GT(sink.accesses, 0u);
+}
+
+/** Message of the FatalError @p fn throws, or "" when it returns. */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(KernelConfigValidation, ZeroTraceStrideWithSinkIsFatal)
+{
+    // A zero stride would divide by zero in the block test and never
+    // advance the sampled-cell walk; every traced kernel rejects it
+    // by name, before touching the sink.
+    bio::SequenceGenerator gen(107);
+    const auto q = gen.random("q", MoleculeType::Protein, 40);
+    const auto t = gen.random("t", MoleculeType::Protein, 50);
+    const auto prof = profFor(q);
+    KernelConfig cfg;
+    cfg.traceStride = 0;
+    CountingTraceSink sink;
+    EXPECT_NE(fatalMessage([&] { msvFilter(prof, t, cfg, &sink); })
+                  .find("traceStride"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { calcBand9(prof, t, cfg, &sink); })
+                  .find("traceStride"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { calcBand10(prof, t, cfg, &sink); })
+                  .find("traceStride"),
+              std::string::npos);
+    EXPECT_EQ(sink.accesses, 0u);
+
+    // Untraced calls never sample, so the stride is irrelevant.
+    EXPECT_EQ(msvFilter(prof, t, cfg).score,
+              reference::msvFilter(prof, t).score);
+    EXPECT_EQ(calcBand9(prof, t, cfg).score,
+              reference::calcBand9(prof, t).score);
 }
 
 } // namespace

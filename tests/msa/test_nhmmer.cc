@@ -103,6 +103,30 @@ TEST_F(NhmmerFixture, RejectsProteinQuery)
                  FatalError);
 }
 
+/** Sink that drops every event. */
+class NullSink : public MemTraceSink
+{
+  public:
+    void access(const MemAccess &) override {}
+    void instructions(FuncId, uint64_t) override {}
+    void branches(FuncId, uint64_t, uint64_t) override {}
+};
+
+TEST_F(NhmmerFixture, ZeroTraceStrideTracedScanIsFatal)
+{
+    NhmmerConfig cfg;
+    cfg.search.kernel.traceStride = 0;
+    NullSink sink;
+    const std::vector<MemTraceSink *> sinks = {&sink};
+    try {
+        runNhmmer(query, db, *cache, nullptr, cfg, 0.0, sinks);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("traceStride"),
+                  std::string::npos);
+    }
+}
+
 // --- Fig 2 memory model -------------------------------------------------
 
 TEST(MemoryModel, MatchesPublishedRnaPoints)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bio/seqgen.hh"
 #include "msa/dbgen.hh"
 #include "msa/search.hh"
@@ -140,6 +142,37 @@ TEST_F(SearchFixture, StreamsDatabaseBytesThroughCache)
         searchDatabase(prof, db, cache(), nullptr, cfg);
     EXPECT_GT(cold.stats.bytesFromDisk, 0u);
     EXPECT_GT(cold.stats.ioLatency, 0.0);
+}
+
+/** Sink that drops every event. */
+class NullSink : public MemTraceSink
+{
+  public:
+    void access(const MemAccess &) override {}
+    void instructions(FuncId, uint64_t) override {}
+    void branches(FuncId, uint64_t, uint64_t) override {}
+};
+
+TEST_F(SearchFixture, ZeroTraceStrideTracedScanIsFatal)
+{
+    // The reader loop steps by 64 * traceStride: zero would never end.
+    const auto prof =
+        ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
+    SearchConfig cfg;
+    cfg.kernel.traceStride = 0;
+    NullSink sink;
+    const std::vector<MemTraceSink *> sinks = {&sink};
+    try {
+        searchDatabase(prof, db, cache(), nullptr, cfg, 0.0, sinks);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("traceStride"),
+                  std::string::npos);
+    }
+    // Untraced scans never sample.
+    EXPECT_GT(searchDatabase(prof, db, cache(), nullptr, cfg)
+                  .stats.targetsScanned,
+              0u);
 }
 
 TEST(SearchLowComplexity, PolyQInflatesPipelineWork)
