@@ -20,6 +20,7 @@
 
 #include "bench_common.hh"
 #include "io/textfile.hh"
+#include "net/comm_trace.hh"
 #include "net/topology.hh"
 #include "serve/cluster.hh"
 #include "serve/report.hh"
@@ -106,7 +107,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(workload().seed));
 
     JsonValue records = JsonValue::makeArray();
-    std::string commTraceOut;
+    net::CommTrace commTraceOut;
 
     // --- Sweep 1: node count on datacenter links -----------------
     {
@@ -256,7 +257,7 @@ main(int argc, char **argv)
 
     const std::string tracePath = args.get("comm-trace");
     if (!tracePath.empty()) {
-        io::writeTextFile(tracePath, commTraceOut);
+        io::writeTextFile(tracePath, commTraceOut.render());
         std::printf("Wrote 4-node comm trace to %s\n",
                     tracePath.c_str());
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "opgraph/build.hh"
 #include "util/logging.hh"
 
 namespace afsb::gpusim {
@@ -37,83 +36,134 @@ InferenceSimResult::diffusionSeconds() const
     return total;
 }
 
+namespace {
+
+/** Extra host threads help only the parallelizable share of
+ *  preprocessing (dispatch is one host thread). */
+double
+threadScaleOf(const InferenceSimOptions &options)
+{
+    return (1.0 - options.hostParallelFraction) +
+           options.hostParallelFraction /
+               std::max<uint32_t>(1, options.threads);
+}
+
+/** Share of @p footprint past VRAM: only the overflow pays the
+ *  unified-memory penalty. */
+double
+spillFractionOf(const sys::GpuSpec &gpu, uint64_t footprint)
+{
+    return footprint > gpu.vramBytes
+               ? 1.0 - static_cast<double>(gpu.vramBytes) /
+                           static_cast<double>(footprint)
+               : 0.0;
+}
+
+/** Scalar phases of one dispatch at its native length. */
+struct NativeDispatch
+{
+    bool oom = false;
+    bool usedUnifiedMemory = false;
+    double initSeconds = 0.0;
+    double compileSeconds = 0.0;
+    double gpuComputeSeconds = 0.0;
+    double finalizeSeconds = 0.0;
+    const GraphShape *shape = nullptr;   ///< null on OOM
+    const ShapeReplay *replay = nullptr; ///< null on OOM
+};
+
+/**
+ * The one arithmetic path of an unbatched dispatch, shared by
+ * simulateInference and the B=1 batch. The op graph and its roofline
+ * replay come from @p cache's memo; everything that reads per-call
+ * state runs here on every call: the compile lookups (they mutate
+ * the cache), the init skip, the thread scale, and the walk from
+ * gpuStart.
+ */
+NativeDispatch
+dispatchNative(const sys::PlatformSpec &platform, size_t tokens,
+               XlaCache &cache, const InferenceSimOptions &options)
+{
+    NativeDispatch d;
+    // The IR is the single source of the op list: its per-op costs
+    // are copied bit-for-bit from the analytic layer model, so this
+    // replay is bit-identical to the pre-IR inline path (enforced
+    // by tests/opgraph/test_roofline_identity.cc).
+    const GraphShape &shape = cache.graph(options.config, tokens);
+
+    // Memory placement: weights + activations vs VRAM.
+    const uint64_t footprint =
+        shape.activationBytes + shape.weightBytes;
+    const bool spills = footprint > platform.gpu.vramBytes;
+    if (spills && !options.unifiedMemory) {
+        d.oom = true;
+        return d;
+    }
+    d.usedUnifiedMemory = spills;
+
+    const XlaPhases phases =
+        evaluateXlaPhases(platform, shape.graph, tokens, cache);
+    const double threadScale = threadScaleOf(options);
+    d.initSeconds = options.gpuAlreadyInitialized
+                        ? 0.0
+                        : phases.initSeconds * threadScale;
+    d.compileSeconds = phases.compileSeconds * threadScale;
+    d.finalizeSeconds = phases.finalizeSeconds * threadScale;
+
+    // GPU execution of the operator graph. The per-op totals are
+    // memoized, never their sum: gpuComputeSeconds = cursor -
+    // gpuStart depends on the bits of gpuStart.
+    const ShapeReplay &replay =
+        cache.replay(platform.gpu, options.config, tokens, 1,
+                     spillFractionOf(platform.gpu, footprint));
+    const double gpuStart = d.initSeconds + d.compileSeconds;
+    double cursor = gpuStart;
+    for (double opSeconds : replay.opSeconds)
+        cursor += opSeconds;
+    d.gpuComputeSeconds = cursor - gpuStart;
+    d.shape = &shape;
+    d.replay = &replay;
+    return d;
+}
+
+} // namespace
+
 InferenceSimResult
 simulateInference(const sys::PlatformSpec &platform, size_t tokens,
                   XlaCache &cache,
                   const InferenceSimOptions &options)
 {
     InferenceSimResult result;
-    const auto &cfg = options.config;
-    // The IR is the single source of the op list: its per-op costs
-    // are copied bit-for-bit from the analytic layer model, so this
-    // replay is bit-identical to the pre-IR inline path (enforced
-    // by tests/opgraph/test_roofline_identity.cc).
-    const auto graph = opgraph::buildInferenceGraph(tokens, cfg);
-
-    // Memory placement: weights + activations vs VRAM.
-    const uint64_t footprint =
-        model::activationBytes(tokens, cfg) + model::weightBytes(cfg);
-    const bool spills = footprint > platform.gpu.vramBytes;
-    if (spills && !options.unifiedMemory) {
+    const NativeDispatch d =
+        dispatchNative(platform, tokens, cache, options);
+    if (d.oom) {
         result.oom = true;
         return result;
     }
-    result.usedUnifiedMemory = spills;
-    // Only the overflow fraction pays the unified-memory penalty.
-    const double spillFraction =
-        spills ? 1.0 - static_cast<double>(platform.gpu.vramBytes) /
-                           static_cast<double>(footprint)
-               : 0.0;
+    result.usedUnifiedMemory = d.usedUnifiedMemory;
+    result.initSeconds = d.initSeconds;
+    result.compileSeconds = d.compileSeconds;
+    result.gpuComputeSeconds = d.gpuComputeSeconds;
+    result.finalizeSeconds = d.finalizeSeconds;
+    result.deviceStats = d.replay->stats;
 
-    // Host phases. Extra threads help only the parallelizable
-    // share of preprocessing (dispatch is one host thread).
-    XlaPhases phases =
-        evaluateXlaPhases(platform, graph, tokens, cache);
-    const double threadScale =
-        (1.0 - options.hostParallelFraction) +
-        options.hostParallelFraction /
-            std::max<uint32_t>(1, options.threads);
-    result.initSeconds = options.gpuAlreadyInitialized
-                             ? 0.0
-                             : phases.initSeconds * threadScale;
-    result.compileSeconds = phases.compileSeconds * threadScale;
-    result.finalizeSeconds = phases.finalizeSeconds * threadScale;
-
+    // The timeline and the per-layer map repeat dispatchNative's
+    // walk, so every span starts at the same cursor bits.
     result.timeline.addSpan("gpu_init", TimelineLane::Host,
                             result.initSeconds);
     result.timeline.addSpanAt("xla_compile", TimelineLane::Compile,
                               result.initSeconds,
                               result.compileSeconds);
-
-    // GPU execution of the operator graph.
-    GpuDevice device(platform.gpu);
-    const double gpuStart =
-        result.initSeconds + result.compileSeconds;
-    double cursor = gpuStart;
-    for (const auto &op : graph.ops) {
-        double layerTotal = 0.0;
-        for (uint32_t i = 0; i < op.count; ++i) {
-            // The spill penalty applies to the bandwidth-bound
-            // portion, weighted by how much of the footprint lives
-            // across the PCIe link.
-            const double t = device.executeKernel(
-                op.flops,
-                op.trafficBytes() *
-                    (1.0 + spillFraction *
-                               (platform.gpu.unifiedMemPenalty -
-                                1.0)),
-                false);
-            layerTotal += t;
-        }
-        result.layerSeconds[op.name()] += layerTotal;
-        result.timeline.addSpanAt(op.name(),
+    const auto &ops = d.shape->graph.ops;
+    double cursor = result.initSeconds + result.compileSeconds;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        const double layerTotal = d.replay->opSeconds[i];
+        result.layerSeconds[ops[i].name()] += layerTotal;
+        result.timeline.addSpanAt(ops[i].name(),
                                   TimelineLane::GpuCompute, cursor,
                                   layerTotal);
         cursor += layerTotal;
     }
-    result.gpuComputeSeconds = cursor - gpuStart;
-    result.deviceStats = device.stats();
-
     result.timeline.addSpanAt("finalize", TimelineLane::Host, cursor,
                               result.finalizeSeconds);
     return result;
@@ -146,22 +196,21 @@ simulateBatchedInference(const sys::PlatformSpec &platform,
 
     const auto &cfg = options.config;
     if (tokensList.size() == 1) {
-        // A solo dispatch runs at its native length and must be
-        // bit-identical to the unbatched simulator.
-        const auto solo = simulateInference(platform, tokensList[0],
-                                            cache, options);
+        // A solo dispatch runs at its native length through the
+        // unbatched simulator's own arithmetic.
+        const NativeDispatch solo =
+            dispatchNative(platform, tokensList[0], cache, options);
         out.oom = solo.oom;
-        out.usedUnifiedMemory = solo.usedUnifiedMemory;
         out.execTokens = tokensList[0];
+        if (solo.oom)
+            return out;
+        out.usedUnifiedMemory = solo.usedUnifiedMemory;
         out.initSeconds = solo.initSeconds;
         out.compileSeconds = solo.compileSeconds;
         out.gpuComputeSeconds = solo.gpuComputeSeconds;
         out.finalizeSeconds = solo.finalizeSeconds;
-        out.deviceStats = solo.deviceStats;
-        if (!solo.oom)
-            out.usefulFlops =
-                opgraph::buildInferenceGraph(tokensList[0], cfg)
-                    .totalFlops();
+        out.deviceStats = solo.replay->stats;
+        out.usefulFlops = solo.shape->totalFlops;
         return out;
     }
 
@@ -174,8 +223,7 @@ simulateBatchedInference(const sys::PlatformSpec &platform,
     }
     const size_t execTokens = cache.paddedTokens(tokensList[0]);
     out.execTokens = execTokens;
-    const auto graph =
-        opgraph::buildInferenceGraph(execTokens, cfg);
+    const GraphShape &shape = cache.graph(cfg, execTokens);
 
     // Round-robin data parallelism: device g serves members
     // g, g+G, g+2G, ...; the largest shard bounds the GPU phase.
@@ -186,9 +234,8 @@ simulateBatchedInference(const sys::PlatformSpec &platform,
     // Memory placement per device: replicated weights + the shard's
     // padded activations vs VRAM.
     const uint64_t footprint =
-        static_cast<uint64_t>(maxShard) *
-            model::activationBytes(execTokens, cfg) +
-        model::weightBytes(cfg);
+        static_cast<uint64_t>(maxShard) * shape.activationBytes +
+        shape.weightBytes;
     const bool spills = footprint > platform.gpu.vramBytes;
     if (spills && !options.unifiedMemory) {
         out.oom = true;
@@ -196,19 +243,14 @@ simulateBatchedInference(const sys::PlatformSpec &platform,
     }
     out.usedUnifiedMemory = spills;
     const double spillFraction =
-        spills ? 1.0 - static_cast<double>(platform.gpu.vramBytes) /
-                           static_cast<double>(footprint)
-               : 0.0;
+        spillFractionOf(platform.gpu, footprint);
 
     // Host phases are paid once for the whole batch: one shared
     // (layer, bucket) compile — execTokens stays inside the member
     // bucket by construction — and one init on a cold worker.
     const XlaPhases phases =
-        evaluateXlaPhases(platform, graph, execTokens, cache);
-    const double threadScale =
-        (1.0 - options.hostParallelFraction) +
-        options.hostParallelFraction /
-            std::max<uint32_t>(1, options.threads);
+        evaluateXlaPhases(platform, shape.graph, execTokens, cache);
+    const double threadScale = threadScaleOf(options);
     out.initSeconds = options.gpuAlreadyInitialized
                           ? 0.0
                           : phases.initSeconds * threadScale;
@@ -234,22 +276,11 @@ simulateBatchedInference(const sys::PlatformSpec &platform,
             batch / devices + (g < batch % devices ? 1 : 0);
         if (shard == 0)
             continue;
-        GpuDevice device(platform.gpu);
-        double shardSeconds = 0.0;
-        for (const auto &op : graph.ops) {
-            for (uint32_t i = 0; i < op.count; ++i)
-                shardSeconds += device.executeKernel(
-                    op.flops * static_cast<double>(shard),
-                    op.trafficBytes() *
-                        static_cast<double>(shard) *
-                        (1.0 +
-                         spillFraction *
-                             (platform.gpu.unifiedMemPenalty - 1.0)),
-                    false);
-        }
+        const ShapeReplay &replay = cache.replay(
+            platform.gpu, cfg, execTokens, shard, spillFraction);
         out.gpuComputeSeconds =
-            std::max(out.gpuComputeSeconds, shardSeconds);
-        const DeviceStats st = device.stats();
+            std::max(out.gpuComputeSeconds, replay.shardSeconds);
+        const DeviceStats &st = replay.stats;
         out.deviceStats.kernelsLaunched += st.kernelsLaunched;
         out.deviceStats.flopsExecuted += st.flopsExecuted;
         out.deviceStats.bytesMoved += st.bytesMoved;
@@ -260,10 +291,9 @@ simulateBatchedInference(const sys::PlatformSpec &platform,
     // Useful vs pad FLOPs: the device executed every member at the
     // padded length; only the members' native graphs are useful.
     const double executedFlops =
-        graph.totalFlops() * static_cast<double>(batch);
+        shape.totalFlops * static_cast<double>(batch);
     for (size_t t : tokensList)
-        out.usefulFlops +=
-            opgraph::buildInferenceGraph(t, cfg).totalFlops();
+        out.usefulFlops += cache.graph(cfg, t).totalFlops;
     out.paddedFlops = std::max(0.0, executedFlops - out.usefulFlops);
     return out;
 }

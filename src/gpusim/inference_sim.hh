@@ -91,7 +91,9 @@ struct InferenceSimResult
 /**
  * Simulate one inference request.
  * @param cache XLA compilation cache; reuse across calls to model
- *        persistent model state (Section VI optimization).
+ *        persistent model state (Section VI optimization). Reuse
+ *        also skips the roofline replay of a dispatch shape the
+ *        cache has already seen (results are unchanged).
  */
 InferenceSimResult simulateInference(
     const sys::PlatformSpec &platform, size_t tokens,

@@ -1,5 +1,8 @@
 #include "gpusim/xla.hh"
 
+#include <bit>
+
+#include "opgraph/build.hh"
 #include "util/units.hh"
 
 namespace afsb::gpusim {
@@ -11,6 +14,82 @@ XlaCache::lookupOrInsert(model::LayerKind kind, size_t tokens)
     return !compiled_.insert(key).second;
 }
 
+XlaCache::Architecture
+XlaCache::architectureOf(const model::ModelConfig &cfg)
+{
+    // Every size field; the rest of ModelConfig (pool, arena,
+    // kernel and schedule switches) steers native execution only.
+    return {cfg.pairDim,
+            cfg.singleDim,
+            cfg.pairformerBlocks,
+            cfg.heads,
+            cfg.headDim,
+            cfg.diffusionSteps,
+            cfg.diffusionTokenDim,
+            cfg.localWindow,
+            cfg.diffusionBlocks,
+            cfg.globalBlocks,
+            cfg.msaFeatureDim,
+            cfg.recyclingIterations,
+            cfg.diffusionSamples};
+}
+
+const GraphShape &
+XlaCache::graph(const model::ModelConfig &cfg, size_t tokens)
+{
+    const GraphKey key{tokens, architectureOf(cfg)};
+    auto it = graphs_.find(key);
+    if (it == graphs_.end()) {
+        GraphShape shape;
+        shape.graph = opgraph::buildInferenceGraph(tokens, cfg);
+        shape.activationBytes = model::activationBytes(tokens, cfg);
+        shape.weightBytes = model::weightBytes(cfg);
+        shape.totalFlops = shape.graph.totalFlops();
+        it = graphs_.emplace(key, std::move(shape)).first;
+    }
+    return it->second;
+}
+
+const ShapeReplay &
+XlaCache::replay(const sys::GpuSpec &gpu,
+                 const model::ModelConfig &cfg, size_t tokens,
+                 size_t shard, double spillFraction)
+{
+    auto &replays = replays_[gpu];
+    const ReplayKey key{GraphKey{tokens, architectureOf(cfg)}, shard,
+                        std::bit_cast<uint64_t>(spillFraction)};
+    if (const auto it = replays.find(key); it != replays.end())
+        return it->second;
+
+    const GraphShape &shape = graph(cfg, tokens);
+    const double members = static_cast<double>(shard);
+    ShapeReplay out;
+    out.opSeconds.reserve(shape.graph.ops.size());
+    GpuDevice device(gpu);
+    for (const auto &op : shape.graph.ops) {
+        double opTotal = 0.0;
+        for (uint32_t i = 0; i < op.count; ++i) {
+            // Every kernel runs batch-scaled (flops and activation
+            // traffic x shard size; x 1.0 is exact, so a shard of
+            // one costs what an unbatched dispatch does). The spill
+            // penalty applies to the bandwidth-bound portion,
+            // weighted by how much of the footprint lives across
+            // the PCIe link.
+            const double t = device.executeKernel(
+                op.flops * members,
+                op.trafficBytes() * members *
+                    (1.0 +
+                     spillFraction * (gpu.unifiedMemPenalty - 1.0)),
+                false);
+            opTotal += t;
+            out.shardSeconds += t;
+        }
+        out.opSeconds.push_back(opTotal);
+    }
+    out.stats = device.stats();
+    return replays.emplace(key, std::move(out)).first->second;
+}
+
 double
 hostClockFactor(const sys::PlatformSpec &platform,
                 const XlaCostModel &costs)
@@ -18,14 +97,16 @@ hostClockFactor(const sys::PlatformSpec &platform,
     return costs.refClockGhz / platform.cpu.maxClockGhz;
 }
 
-namespace {
-
-/** Shared phase arithmetic; @p kernelsCompiled already summed. */
 XlaPhases
-phasesFor(const sys::PlatformSpec &platform, size_t tokens,
-          uint32_t kernelsCompiled, const XlaCostModel &costs)
+evaluateXlaPhases(const sys::PlatformSpec &platform,
+                  const opgraph::OpGraph &graph, size_t tokens,
+                  XlaCache &cache, const XlaCostModel &costs)
 {
     XlaPhases out;
+    for (const auto &op : graph.ops) {
+        if (!cache.lookupOrInsert(op.kind, tokens))
+            out.kernelsCompiled += op.kernels;
+    }
 
     // Host phases run on one thread at the platform's peak clock;
     // slower hosts (Server's 4.0 GHz Xeon vs Desktop's 5.6 GHz
@@ -39,7 +120,6 @@ phasesFor(const sys::PlatformSpec &platform, size_t tokens,
              static_cast<double>(platform.gpu.vramBytes) /
              static_cast<double>(GiB));
 
-    out.kernelsCompiled = kernelsCompiled;
     out.compileSeconds = hostFactor *
                          costs.compileSecondsPerKernel *
                          out.kernelsCompiled;
@@ -49,35 +129,6 @@ phasesFor(const sys::PlatformSpec &platform, size_t tokens,
                       costs.finalizePerToken *
                           static_cast<double>(tokens));
     return out;
-}
-
-} // namespace
-
-XlaPhases
-evaluateXlaPhases(const sys::PlatformSpec &platform,
-                  const opgraph::OpGraph &graph, size_t tokens,
-                  XlaCache &cache, const XlaCostModel &costs)
-{
-    uint32_t kernelsCompiled = 0;
-    for (const auto &op : graph.ops) {
-        if (!cache.lookupOrInsert(op.kind, tokens))
-            kernelsCompiled += op.kernels;
-    }
-    return phasesFor(platform, tokens, kernelsCompiled, costs);
-}
-
-XlaPhases
-evaluateXlaPhases(const sys::PlatformSpec &platform,
-                  const std::vector<model::LayerInstance> &graph,
-                  size_t tokens, XlaCache &cache,
-                  const XlaCostModel &costs)
-{
-    uint32_t kernelsCompiled = 0;
-    for (const auto &layer : graph) {
-        if (!cache.lookupOrInsert(layer.kind, tokens))
-            kernelsCompiled += layer.cost.kernels;
-    }
-    return phasesFor(platform, tokens, kernelsCompiled, costs);
 }
 
 } // namespace afsb::gpusim

@@ -544,9 +544,11 @@ simulateCluster(const sys::PlatformSpec &platform,
         for (uint32_t nd = 0; nd < nodes; ++nd) {
             auto &queue = gpuQueues[nd];
             auto &idle = freeGpu[nd];
-            // Solo dispatch (batching off): the pre-batching code
-            // path, kept verbatim so batchMax == 1 is bit-identical
-            // to the legacy simulator.
+            // Solo dispatch (batching off): the pre-batching event
+            // sequence, kept verbatim so batchMax == 1 is
+            // bit-identical to the legacy simulator. Each dispatch
+            // is a batch of one, which reproduces the unbatched
+            // simulator's scalars.
             while (!batching && !idle.empty() && !queue.empty()) {
                 const Request r = queue.pop();
                 auto &rec = result.records[r.id];
@@ -568,8 +570,8 @@ simulateCluster(const sys::PlatformSpec &platform,
                 auto &worker = gpuWorkers[nd][wid];
                 inferOptions.gpuAlreadyInitialized =
                     worker.initialized;
-                const auto infer = gpusim::simulateInference(
-                    platform, r.tokens, worker.xla, inferOptions);
+                const auto infer = gpusim::simulateBatchedInference(
+                    platform, {r.tokens}, worker.xla, inferOptions);
                 if (infer.oom)
                     fatal("serve: inference for sample '" +
                           r.sample + "' OOMs on " + platform.name +
@@ -1371,7 +1373,7 @@ simulateCluster(const sys::PlatformSpec &platform,
     result.comm = fabric.stats();
     result.links = fabric.activeLinks();
     if (multiNode)
-        result.commTrace = fabric.trace().render();
+        result.commTrace = fabric.trace();
 
     for (const auto &rec : result.records) {
         const std::string &s = rec.request.sample;

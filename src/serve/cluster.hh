@@ -43,6 +43,7 @@
 #include "core/msa_phase.hh"
 #include "fault/fault.hh"
 #include "gpusim/xla.hh"
+#include "net/comm_trace.hh"
 #include "net/interconnect.hh"
 #include "serve/msa_cache.hh"
 #include "serve/scheduler.hh"
@@ -417,9 +418,9 @@ struct ClusterResult
     };
     std::vector<NodeStats> nodeStats;
 
-    /** Canonical communication trace (net::CommTrace::render);
-     *  empty single-node. */
-    std::string commTrace;
+    /** Every cross-node message, in send order; render() gives the
+     *  canonical text on demand. Empty single-node. */
+    net::CommTrace commTrace;
 
     /** Deterministic per-sample MSA service time (the memoized
      *  characterization runs). */

@@ -18,6 +18,7 @@
 #ifndef AFSB_SYS_PLATFORM_HH
 #define AFSB_SYS_PLATFORM_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -125,6 +126,10 @@ struct GpuSpec
     uint64_t vramBytes = 16ull << 30;
     double kernelLaunchUs = 6.0;    ///< per-kernel dispatch cost
     double unifiedMemPenalty = 6.0; ///< slowdown when spilling VRAM
+
+    /** Field-wise order: the whole spec keys memoized roofline
+     *  replays (gpusim::XlaCache::replay). */
+    auto operator<=>(const GpuSpec &) const = default;
 };
 
 /** Host memory configuration. */

@@ -8,9 +8,44 @@
 #include <gtest/gtest.h>
 
 #include "gpusim/inference_sim.hh"
+#include "util/str.hh"
 
 namespace afsb::gpusim {
 namespace {
+
+std::string
+bits(double v)
+{
+    return strformat("%.17g", v);
+}
+
+/** Every field of two batched results, doubles as %.17g. */
+void
+expectSameBatch(const BatchedInferenceResult &a,
+                const BatchedInferenceResult &b)
+{
+    ASSERT_EQ(a.oom, b.oom);
+    EXPECT_EQ(a.usedUnifiedMemory, b.usedUnifiedMemory);
+    EXPECT_EQ(a.batchSize, b.batchSize);
+    EXPECT_EQ(a.execTokens, b.execTokens);
+    EXPECT_EQ(a.gpus, b.gpus);
+    EXPECT_EQ(bits(a.initSeconds), bits(b.initSeconds));
+    EXPECT_EQ(bits(a.compileSeconds), bits(b.compileSeconds));
+    EXPECT_EQ(bits(a.gpuComputeSeconds), bits(b.gpuComputeSeconds));
+    EXPECT_EQ(bits(a.finalizeSeconds), bits(b.finalizeSeconds));
+    EXPECT_EQ(bits(a.usefulFlops), bits(b.usefulFlops));
+    EXPECT_EQ(bits(a.paddedFlops), bits(b.paddedFlops));
+    EXPECT_EQ(a.deviceStats.kernelsLaunched,
+              b.deviceStats.kernelsLaunched);
+    EXPECT_EQ(bits(a.deviceStats.flopsExecuted),
+              bits(b.deviceStats.flopsExecuted));
+    EXPECT_EQ(bits(a.deviceStats.bytesMoved),
+              bits(b.deviceStats.bytesMoved));
+    EXPECT_EQ(bits(a.deviceStats.busySeconds),
+              bits(b.deviceStats.busySeconds));
+    EXPECT_EQ(bits(a.deviceStats.launchSeconds),
+              bits(b.deviceStats.launchSeconds));
+}
 
 // --- Bucket boundaries ------------------------------------------
 
@@ -215,6 +250,54 @@ TEST(BatchingInference, DataParallelFanOutShrinksGpuPhaseOnly)
     EXPECT_DOUBLE_EQ(g4.compileSeconds, g1.compileSeconds);
     EXPECT_DOUBLE_EQ(g4.finalizeSeconds, g1.finalizeSeconds);
     EXPECT_DOUBLE_EQ(g4.usefulFlops, g1.usefulFlops);
+}
+
+TEST(BatchingInference, SharedCacheHitsMatchFreshCaches)
+{
+    // Bucket 11 on the 16 GiB desktop (execution length 767): a
+    // shard of one or two members fits, three or more spill. So the
+    // (5, 2) split replays its shard of two under a three-member
+    // spill fraction, while (2, 1) replays the same shard size in
+    // VRAM — one cache must keep the two apart.
+    const auto platform = sys::desktopPlatform();
+    XlaCache shared;
+    size_t spilled = 0;
+    size_t fits = 0;
+    for (const char *round : {"fill", "hit"}) {
+        for (size_t batch : {1, 2, 5, 8}) {
+            for (uint32_t gpus : {1u, 2u, 3u}) {
+                for (bool unified : {true, false}) {
+                    SCOPED_TRACE(strformat("%s B=%zu gpus=%u unified %d",
+                                           round, batch, gpus,
+                                           unified));
+                    // The head sits on the bucket edge, so a solo
+                    // dispatch shares its replay with the batched
+                    // shards of one.
+                    std::vector<size_t> members;
+                    for (size_t i = 0; i < batch; ++i)
+                        members.push_back(767 - 7 * i);
+                    InferenceSimOptions opt;
+                    opt.unifiedMemory = unified;
+                    // Cold compile set, warm memo: only the memo
+                    // separates the two caches.
+                    shared.clear();
+                    XlaCache fresh;
+                    // Cold, then warm compile.
+                    for (int call = 0; call < 2; ++call) {
+                        const auto hit = simulateBatchedInference(
+                            platform, members, shared, opt, gpus);
+                        const auto ref = simulateBatchedInference(
+                            platform, members, fresh, opt, gpus);
+                        expectSameBatch(hit, ref);
+                        (ref.usedUnifiedMemory || ref.oom ? spilled
+                                                          : fits) += 1;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(spilled, 0u);
+    EXPECT_GT(fits, 0u);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "gpusim/inference_sim.hh"
 #include "gpusim/init_profile.hh"
+#include "opgraph/build.hh"
 #include "util/units.hh"
 
 namespace afsb::gpusim {
@@ -82,7 +83,7 @@ TEST(XlaCache, CachesByShapeBucket)
 TEST(XlaPhases, ServerHostPhasesSlowerThanDesktop)
 {
     const auto graph =
-        model::operatorGraph(484, model::paperConfig());
+        opgraph::buildInferenceGraph(484, model::paperConfig());
     XlaCache cs, cd;
     const auto server = evaluateXlaPhases(sys::serverPlatform(),
                                           graph, 484, cs);
@@ -97,7 +98,7 @@ TEST(XlaPhases, ServerHostPhasesSlowerThanDesktop)
 TEST(XlaPhases, WarmCacheSkipsCompilation)
 {
     const auto graph =
-        model::operatorGraph(484, model::paperConfig());
+        opgraph::buildInferenceGraph(484, model::paperConfig());
     XlaCache cache;
     const auto cold = evaluateXlaPhases(sys::serverPlatform(),
                                         graph, 484, cache);

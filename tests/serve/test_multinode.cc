@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/workspace.hh"
 #include "fault/fault.hh"
 #include "net/comm_trace.hh"
@@ -100,7 +103,7 @@ TEST(Multinode, SameSeedsAreByteIdenticalAcrossNodes)
     const auto b = runFast(requests, cfg);
     EXPECT_TRUE(a.multiNode);
     EXPECT_FALSE(a.commTrace.empty());
-    EXPECT_EQ(a.commTrace, b.commTrace);
+    EXPECT_EQ(a.commTrace.render(), b.commTrace.render());
     EXPECT_EQ(canonicalSloText(buildSloReport(a)),
               canonicalSloText(buildSloReport(b)));
     ASSERT_EQ(a.records.size(), b.records.size());
@@ -292,7 +295,7 @@ TEST(Multinode, CommTraceParsesAndRespectsCausality)
     cfg.topology = net::datacenterTopology(4);
     const auto r = runFast(requests, cfg);
 
-    const auto events = net::parseCommTrace(r.commTrace);
+    const auto events = net::parseCommTrace(r.commTrace.render());
     ASSERT_EQ(events.size(), r.comm.messages);
     const uint32_t endpoints = cfg.topology.endpoints();
     for (const auto &e : events) {
@@ -302,6 +305,28 @@ TEST(Multinode, CommTraceParsesAndRespectsCausality)
         EXPECT_NE(e.src, e.dst);
     }
 }
+
+#ifdef AFSB_REPO_ROOT
+TEST(Multinode, TwoNodeCommTraceMatchesCommittedBytes)
+{
+    // A 2-node run over the small fixed stream. The committed trace
+    // was rendered by the cluster when it still stored its trace as
+    // text; rendering the kept events must reproduce it byte for
+    // byte.
+    auto cfg = fastConfig();
+    cfg.topology = net::datacenterTopology(2);
+    const auto r = runFast(smallWorkload(), cfg);
+
+    const std::string path = std::string(AFSB_REPO_ROOT) +
+                             "/tests/data/serve/comm_trace_2node.txt";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing fixture: " << path;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(r.comm.messages, r.commTrace.size());
+    EXPECT_EQ(r.commTrace.render(), golden.str());
+}
+#endif
 
 } // namespace
 } // namespace afsb::serve

@@ -478,8 +478,10 @@ cmdServe(const CliArgs &args)
                     args.get("fault-log").c_str());
     }
     if (args.has("comm-trace")) {
+        // A single-node run sends nothing and writes an empty file.
         io::writeTextFile(args.get("comm-trace"),
-                          result.commTrace);
+                          result.multiNode ? result.commTrace.render()
+                                           : std::string());
         std::printf("Comm trace (%llu messages) written to %s\n",
                     static_cast<unsigned long long>(
                         result.comm.messages),
