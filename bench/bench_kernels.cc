@@ -17,7 +17,9 @@
  *
  * --json writes a machine-readable summary: one record per benchmark
  * with ns/op, iteration count, and every user counter (GFLOP/s,
- * cells/s) finalized the same way the console output is.
+ * cells/s) finalized the same way the console output is, plus a
+ * context naming the AFSB_SIMD_CLONES copy that ran ("avx2" or
+ * "default"; google-benchmark's own context carries it too).
  */
 
 #include <benchmark/benchmark.h>
@@ -36,6 +38,7 @@
 #include "msa/search.hh"
 #include "tensor/ops.hh"
 #include "util/json.hh"
+#include "util/simd.hh"
 #include "util/threadpool.hh"
 #include "util/units.hh"
 
@@ -274,30 +277,29 @@ BENCHMARK(BM_TriangleMultUpdateLayerPool)->Arg(32)->Arg(64);
 
 void
 runTriangleAttentionCore(benchmark::State &state, bool naive,
-                         bool useArena, ThreadPool *pool)
+                         bool useArena, ThreadPool *pool,
+                         size_t heads = kCoreHeads,
+                         size_t dh = kCoreHeadDim)
 {
     const auto n = static_cast<size_t>(state.range(0));
-    const size_t hd = kCoreHeads * kCoreHeadDim;
+    const size_t hd = heads * dh;
     Rng rng(12);
     const auto q = tensor::Tensor::randomNormal({n, n, hd}, rng);
     const auto k = tensor::Tensor::randomNormal({n, n, hd}, rng);
     const auto v = tensor::Tensor::randomNormal({n, n, hd}, rng);
-    const auto bias =
-        tensor::Tensor::randomNormal({n, n, kCoreHeads}, rng);
+    const auto bias = tensor::Tensor::randomNormal({n, n, heads}, rng);
     tensor::Arena arena;
     tensor::Arena *ap = useArena ? &arena : nullptr;
     for (auto _ : state) {
         tensor::Arena::Scope scope(ap);
         const auto ctx = model::triangleAttentionCore(
-            q, k, v, bias, kCoreHeads, kCoreHeadDim, true, naive,
-            pool, ap);
+            q, k, v, bias, heads, dh, true, naive, pool, ap);
         benchmark::DoNotOptimize(ctx.data());
     }
     // 2*dh flops per logit plus 2*dh per context MAC, for every
     // (line, head, row, column).
     state.counters["GFLOP/s"] = benchmark::Counter(
-        4.0 * static_cast<double>(n) * n * n * kCoreHeadDim *
-            kCoreHeads * 1e-9 *
+        4.0 * static_cast<double>(n) * n * n * dh * heads * 1e-9 *
             static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
@@ -330,6 +332,18 @@ BM_TriangleAttentionCorePool(benchmark::State &state)
     runTriangleAttentionCore(state, false, false, &pool);
 }
 BENCHMARK(BM_TriangleAttentionCorePool)->Arg(64)->Arg(128);
+
+/** The shape the native-fold benchmark runs: miniConfig's 2 heads x
+ *  8 head dims, at 128 tokens and at its largest complex (310). At
+ *  dh = 8 the row softmax costs about as much as the two GEMMs. */
+void
+BM_TriangleAttentionCoreMini(benchmark::State &state)
+{
+    const auto cfg = model::miniConfig();
+    runTriangleAttentionCore(state, false, false, nullptr, cfg.heads,
+                             cfg.headDim);
+}
+BENCHMARK(BM_TriangleAttentionCoreMini)->Arg(128)->Arg(310);
 
 void
 runTriangleMultCore(benchmark::State &state, bool naive,
@@ -793,10 +807,14 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter
         benchmark::ConsoleReporter::ReportRuns(reports);
     }
 
-    /** Write `{"benchmarks": [...]}` to @p path. */
+    /** Write `{"context": {...}, "benchmarks": [...]}` to @p path;
+     *  the context names the kernel clone that ran. */
     bool write(const std::string &path) const
     {
         JsonValue doc = JsonValue::makeObject();
+        JsonValue context = JsonValue::makeObject();
+        context["simd_clone"] = simdCloneTarget();
+        doc["context"] = context;
         doc["benchmarks"] = records_;
         std::ofstream out(path);
         if (!out)
@@ -836,6 +854,7 @@ main(int argc, char **argv)
     }
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
+    benchmark::AddCustomContext("simd_clone", simdCloneTarget());
     if (benchmark::ReportUnrecognizedArguments(n, args.data()))
         return 1;
 

@@ -24,18 +24,22 @@ tlsScratchB()
     return v;
 }
 
-/* Moved verbatim from layers.cc (and deduplicated with the copy in
- * diffusion.cc): the exp pass carries no reduction so it vectorizes
- * without -ffast-math; four partial sums break the serial float add
- * chain the compiler may not reassociate. */
+/* The exp pass carries no reduction so it vectorizes without
+ * -ffast-math; four partial sums break the serial float add chain
+ * the compiler may not reassociate. The row max runs on integer
+ * keys for the same reason: integer max is associative, so the
+ * compiler splits it across lanes, while a float max chain stays
+ * one dependent compare per logit. */
+AFSB_SIMD_CLONES
 void
 softmaxRowsFast(float *AFSB_RESTRICT m, size_t rows, size_t n)
 {
     for (size_t r = 0; r < rows; ++r) {
         float *AFSB_RESTRICT row = m + r * n;
-        float mx = row[0];
+        int32_t key = floatOrderKey(row[0]);
         for (size_t i = 1; i < n; ++i)
-            mx = std::max(mx, row[i]);
+            key = std::max(key, floatOrderKey(row[i]));
+        const float mx = floatFromOrderKey(key);
         AFSB_VECTORIZE_LOOP
         for (size_t i = 0; i < n; ++i)
             row[i] = fastExpf(row[i] - mx);
@@ -136,6 +140,7 @@ transposeLinesRange(float *dst, const float *src, size_t n, size_t c,
  * for the full rationale.  One unit = kMultRowTile output lines,
  * each (i, j, ch) accumulated in ascending k by exactly one caller
  * => bit-identical across schedulers. */
+AFSB_SIMD_CLONES
 void
 triMultTile(float *out, const float *AFSB_RESTRICT ap,
             const float *AFSB_RESTRICT bp, size_t n, size_t c,

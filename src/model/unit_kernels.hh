@@ -50,6 +50,16 @@ std::vector<float> &tlsScratchB();
  * Softmax each n-wide row of m in place with the branch-free
  * fastExpf (the fast paths' only deliberate numeric departure from
  * the reference kernels).
+ *
+ * The row max is an integer max over floatOrderKey keys, which the
+ * compiler vectorizes (8 lanes in the AVX2 clone) where a float
+ * std::max chain stays one dependent compare per element. On every
+ * NaN-free row the output is bit-identical to that float chain: the
+ * only value the two maxima can disagree on is the sign of a zero
+ * maximum (the keys rank +0 above -0), and then every logit minus
+ * either zero is the same value up to the sign of a zero, while
+ * fastExpf(+0) and fastExpf(-0) are both exactly 1.0f. A row that
+ * contains a NaN may differ.
  */
 void softmaxRowsFast(float *m, size_t rows, size_t n);
 

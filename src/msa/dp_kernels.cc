@@ -205,6 +205,7 @@ class DoubleEmissions
     std::vector<uint8_t> built_;
 };
 
+AFSB_SIMD_CLONES
 MsvResult
 msvFilterFast(const ProfileHmm &prof, const bio::Sequence &target)
 {
@@ -237,6 +238,7 @@ msvFilterFast(const ProfileHmm &prof, const bio::Sequence &target)
     return result;
 }
 
+AFSB_SIMD_CLONES
 ViterbiResult
 calcBand9Fast(const ProfileHmm &prof, const bio::Sequence &target,
               const KernelConfig &cfg)
@@ -319,6 +321,7 @@ calcBand9Fast(const ProfileHmm &prof, const bio::Sequence &target,
     return result;
 }
 
+AFSB_SIMD_CLONES
 ForwardResult
 calcBand10Fast(const ProfileHmm &prof, const bio::Sequence &target,
                const KernelConfig &cfg)

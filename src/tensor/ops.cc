@@ -162,8 +162,9 @@ forRowsAligned(size_t rows, size_t flops_per_row, size_t align,
 
 /** Row sweep for the GEMM kernels: pairs first, then a single-row
  *  tail. Callers must hand in align-2 blocks (forRowsAligned) so the
- *  pairing is position-independent. */
-inline void
+ *  pairing is position-independent. Always inlined, so each
+ *  AFSB_SIMD_CLONES caller compiles the sweep at its own width. */
+[[gnu::always_inline]] inline void
 gemmRows(const float *a, size_t astride, const float *b,
          size_t bstride, float *c, size_t cstride, size_t k, size_t n,
          size_t r0, size_t r1)
@@ -180,6 +181,7 @@ gemmRows(const float *a, size_t astride, const float *b,
 
 } // namespace
 
+AFSB_SIMD_CLONES
 void
 gemmAcc(const float *a, size_t astride, const float *b,
         size_t bstride, float *c, size_t cstride, size_t m, size_t k,
@@ -187,6 +189,35 @@ gemmAcc(const float *a, size_t astride, const float *b,
 {
     gemmRows(a, astride, b, bstride, c, cstride, k, n, 0, m);
 }
+
+// Ahead of linear(), its caller (see AFSB_SIMD_CLONES).
+namespace rowops {
+
+AFSB_SIMD_CLONES
+void
+linearRows(const float *x, const float *w, const float *bias,
+           float *y, size_t in, size_t out, size_t r0, size_t r1)
+{
+    if (bias) {
+        for (size_t r = r0; r < r1; ++r) {
+            float *AFSB_RESTRICT yo = y + r * out;
+            const float *AFSB_RESTRICT bp = bias;
+            AFSB_VECTORIZE_LOOP
+            for (size_t o = 0; o < out; ++o)
+                yo[o] = bp[o];
+        }
+    } else {
+        for (size_t r = r0; r < r1; ++r) {
+            float *AFSB_RESTRICT yo = y + r * out;
+            AFSB_VECTORIZE_LOOP
+            for (size_t o = 0; o < out; ++o)
+                yo[o] = 0.0f;
+        }
+    }
+    gemmRows(x, in, w, out, y, out, in, out, r0, r1);
+}
+
+} // namespace rowops
 
 Tensor
 matmul(const Tensor &a, const Tensor &b, ThreadPool *pool,
@@ -391,29 +422,6 @@ layerNormRows(const float *x, float *y, size_t d, float eps,
         for (size_t i = 0; i < d; ++i)
             row[i] = (src[i] - mean) * inv;
     }
-}
-
-void
-linearRows(const float *x, const float *w, const float *bias,
-           float *y, size_t in, size_t out, size_t r0, size_t r1)
-{
-    if (bias) {
-        for (size_t r = r0; r < r1; ++r) {
-            float *AFSB_RESTRICT yo = y + r * out;
-            const float *AFSB_RESTRICT bp = bias;
-            AFSB_VECTORIZE_LOOP
-            for (size_t o = 0; o < out; ++o)
-                yo[o] = bp[o];
-        }
-    } else {
-        for (size_t r = r0; r < r1; ++r) {
-            float *AFSB_RESTRICT yo = y + r * out;
-            AFSB_VECTORIZE_LOOP
-            for (size_t o = 0; o < out; ++o)
-                yo[o] = 0.0f;
-        }
-    }
-    gemmRows(x, in, w, out, y, out, in, out, r0, r1);
 }
 
 void

@@ -275,6 +275,11 @@ namespace {
 class Parser
 {
   public:
+    /** Deepest array/object nesting accepted. Each level costs a few
+     *  native stack frames, so a file of nested brackets fails with
+     *  an error here instead of overflowing the stack. */
+    static constexpr size_t kMaxDepth = 512;
+
     explicit Parser(const std::string &text) : text_(text) {}
 
     JsonValue
@@ -359,8 +364,16 @@ class Parser
         skipWs();
         char c = peek();
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            if (++depth_ > kMaxDepth)
+                fail(strformat("nesting depth %zu exceeds the limit "
+                               "of %zu",
+                               depth_, kMaxDepth));
+            JsonValue v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"': return JsonValue(parseString());
           case 't':
             if (consumeLiteral("true"))
@@ -518,6 +531,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 } // namespace

@@ -115,7 +115,8 @@ class JsonValue
 
 /**
  * Parse a JSON document.
- * @throws FatalError with line/column context on malformed input.
+ * @throws FatalError with line/column context on malformed input,
+ *         including arrays/objects nested more than 512 deep.
  */
 JsonValue parseJson(const std::string &text);
 

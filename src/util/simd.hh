@@ -6,8 +6,9 @@
  * written as plain fixed-stride loops over contiguous arrays — no
  * intrinsics — and rely on the compiler's autovectorizer. These
  * macros give the vectorizer what it needs: no-alias guarantees on
- * the hot pointers and an explicit no-loop-carried-dependence hint
- * on the striped loops.
+ * the hot pointers, an explicit no-loop-carried-dependence hint on
+ * the striped loops, and a second, AVX2-wide copy of the hottest
+ * kernels picked at load time (AFSB_SIMD_CLONES).
  */
 
 #ifndef AFSB_UTIL_SIMD_HH
@@ -32,7 +33,63 @@
 #define AFSB_VECTORIZE_LOOP
 #endif
 
+/**
+ * Compiles the following function twice — once for the build's
+ * baseline ISA and once for AVX2 — and binds the caller to the AVX2
+ * copy at load time when the CPU has it (a glibc ifunc resolver), so
+ * a default build runs its hot loops 256 bits wide without a -march
+ * flag. Expands to nothing where ifuncs are unavailable (non-x86-64,
+ * non-ELF, or not glibc), leaving the one baseline copy, and under
+ * ThreadSanitizer, whose instrumented ifunc resolver would run before
+ * the TSan runtime starts and crash the process at load.
+ *
+ * The clone list is exactly {"avx2", "default"} and stays that way:
+ * the avx2 target enables no fused multiply-add, so both copies run
+ * the same IEEE operations in the same order and their results are
+ * bit-identical (an "fma", "arch=..." or AVX-512 target would let
+ * GCC's default -ffp-contract=fast fuse a*b+c and change bits).
+ * Lane width only regroups independent elementwise operations: float
+ * reductions keep the order the source spells out, and integer ones
+ * are associative. Clones cannot be inlined, so put the macro on a
+ * kernel that loops long enough to hide an indirect call, and make
+ * sure the helpers its hot loop calls are inlined into it (a helper
+ * left out of line runs the baseline copy). Define the kernel before
+ * its first use in its file: clang will not multiversion a function
+ * that has already been used.
+ */
+#if defined(__SANITIZE_THREAD__)
+#define AFSB_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define AFSB_TSAN_BUILD 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && \
+    defined(__has_attribute) && !defined(AFSB_TSAN_BUILD)
+#if __has_attribute(target_clones)
+#define AFSB_HAVE_SIMD_CLONES 1
+#endif
+#endif
+#ifdef AFSB_HAVE_SIMD_CLONES
+#define AFSB_SIMD_CLONES \
+    __attribute__((target_clones("avx2", "default")))
+#else
+#define AFSB_SIMD_CLONES
+#endif
+
 namespace afsb {
+
+/** The AFSB_SIMD_CLONES copy this process runs: "avx2" or
+ *  "default". */
+inline const char *
+simdCloneTarget()
+{
+#ifdef AFSB_HAVE_SIMD_CLONES
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
 
 /** Maps a float's bits to an integer whose two's-complement order
  *  matches the float order (flips the magnitude bits of negatives).
@@ -43,6 +100,13 @@ floatOrderKey(float f)
 {
     const int32_t i = std::bit_cast<int32_t>(f);
     return i ^ ((i >> 31) & 0x7fffffff);
+}
+
+/** Inverse of floatOrderKey. */
+constexpr float
+floatFromOrderKey(int32_t key)
+{
+    return std::bit_cast<float>(key ^ ((key >> 31) & 0x7fffffff));
 }
 
 /**
@@ -69,7 +133,7 @@ fastExpf(float x)
     int32_t key = floatOrderKey(x);
     key = key < kLoKey ? kLoKey : key;
     key = key > kHiKey ? kHiKey : key;
-    x = std::bit_cast<float>(key ^ ((key >> 31) & 0x7fffffff));
+    x = floatFromOrderKey(key);
 
     constexpr float kLog2e = 1.44269504088896341f;
     constexpr float kLn2Hi = 0.693359375f;

@@ -22,6 +22,15 @@ struct TableIIRow
     size_t totalResidues;
 };
 
+// gtest's default printer dumps the row's bytes, including the address
+// in `name`, which moves with every load; the dump ends up in the test
+// names that ctest discovers. Print the sample name instead.
+void
+PrintTo(const TableIIRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
 class SamplesTableII : public ::testing::TestWithParam<TableIIRow>
 {};
 

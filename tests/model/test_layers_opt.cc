@@ -13,10 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "model/diffusion.hh"
 #include "model/layers.hh"
+#include "model/unit_kernels.hh"
 #include "tensor/arena.hh"
 #include "util/simd.hh"
 #include "util/threadpool.hh"
@@ -51,6 +56,131 @@ TEST(FastExpf, TracksStdExp)
     }
     EXPECT_EQ(fastExpf(-200.0f), fastExpf(-87.0f));  // clamped
     EXPECT_TRUE(std::isfinite(fastExpf(200.0f)));
+}
+
+/** softmaxRowsFast as it was before its row max moved to integer
+ *  keys, verbatim: a float std::max chain. */
+void
+softmaxRowsReplica(float *AFSB_RESTRICT m, size_t rows, size_t n)
+{
+    for (size_t r = 0; r < rows; ++r) {
+        float *AFSB_RESTRICT row = m + r * n;
+        float mx = row[0];
+        for (size_t i = 1; i < n; ++i)
+            mx = std::max(mx, row[i]);
+        AFSB_VECTORIZE_LOOP
+        for (size_t i = 0; i < n; ++i)
+            row[i] = fastExpf(row[i] - mx);
+        float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+        size_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            s0 += row[i];
+            s1 += row[i + 1];
+            s2 += row[i + 2];
+            s3 += row[i + 3];
+        }
+        for (; i < n; ++i)
+            s0 += row[i];
+        const float inv = 1.0f / ((s0 + s1) + (s2 + s3));
+        AFSB_VECTORIZE_LOOP
+        for (size_t i2 = 0; i2 < n; ++i2)
+            row[i2] *= inv;
+    }
+}
+
+/** n-wide rows that probe the integer-key row max: signed zeros,
+ *  infinities, logits at fastExpf's -87/-88 clamp edges, and the
+ *  row maximum in every tail slot past the last full 8-lane block.
+ *  No row contains a NaN. */
+std::vector<float>
+rowMaxProbeRows(size_t n, Rng &rng)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    std::vector<float> rows;
+    auto addRow = [&](auto &&value) {
+        for (size_t i = 0; i < n; ++i)
+            rows.push_back(value(i));
+    };
+    auto gauss = [&](float scale) {
+        return [&rng, scale](size_t) {
+            return scale * static_cast<float>(rng.nextGaussian());
+        };
+    };
+
+    addRow(gauss(1.0f));
+    addRow(gauss(40.0f));
+    addRow([&](size_t) {
+        return -1.0f - std::abs(static_cast<float>(rng.nextGaussian()));
+    });
+    // Signed zeros: -0 before +0 at the zero maximum, all -0, all
+    // +0, and a zero maximum with negative logits around it.
+    addRow([](size_t i) { return i % 2 ? 0.0f : -0.0f; });
+    addRow([](size_t i) { return i % 2 ? -0.0f : 0.0f; });
+    addRow([](size_t) { return -0.0f; });
+    addRow([](size_t) { return 0.0f; });
+    addRow([&](size_t i) {
+        return i == 0 ? -0.0f
+                      : i + 1 == n ? 0.0f
+                                   : -std::abs(static_cast<float>(
+                                         rng.nextGaussian()));
+    });
+    // Infinities: +inf leading or trailing, -inf around a finite
+    // maximum, all -inf, and both signs together.
+    addRow([&](size_t i) { return i == 0 ? kInf : 1.0f; });
+    addRow([&](size_t i) { return i + 1 == n ? kInf : -1.0f; });
+    addRow([&](size_t i) { return i == n / 2 ? 3.0f : -kInf; });
+    addRow([&](size_t) { return -kInf; });
+    addRow([&](size_t i) { return i % 3 == 1 ? kInf : -kInf; });
+    // Clamp edges: logit - max lands on either side of -87 and -88,
+    // with the maximum at 0 and at 88.
+    const float edges[] = {-86.99999f, -87.0f,     -87.00001f,
+                           -87.5f,     -87.99999f, -88.0f,
+                           -88.00001f, -200.0f};
+    for (float top : {0.0f, 88.0f}) {
+        addRow([&](size_t i) {
+            return i == 0 ? top : top + edges[i % 8];
+        });
+        addRow([&](size_t i) {
+            return i + 1 == n ? top : edges[(i + 3) % 8];
+        });
+    }
+    // Maximum in each tail slot past the last full 8-lane block (for
+    // n < 8 every slot is tail).
+    for (size_t p = n - n % 8; p < n; ++p) {
+        addRow([&](size_t i) {
+            return i == p ? 50.0f
+                          : static_cast<float>(rng.nextGaussian());
+        });
+    }
+    return rows;
+}
+
+/* The row max runs on order-preserving integer keys; this pins
+ * softmaxRowsFast to the float-max replica byte for byte on NaN-free
+ * rows. The replica compiles at the test's baseline ISA, so on an
+ * AVX2 host this also compares the AVX2 clone against the baseline
+ * arithmetic. */
+TEST(SoftmaxRowsFast, RowMaxBitIdenticalToFloatMaxReplica)
+{
+    Rng rng(67);
+    std::vector<size_t> widths;
+    for (size_t n = 1; n <= 17; ++n)
+        widths.push_back(n);
+    widths.push_back(64);
+    widths.push_back(310);
+    for (size_t n : widths) {
+        const std::vector<float> in = rowMaxProbeRows(n, rng);
+        const size_t rows = in.size() / n;
+        std::vector<float> fast = in, ref = in;
+        unitk::softmaxRowsFast(fast.data(), rows, n);
+        softmaxRowsReplica(ref.data(), rows, n);
+        for (size_t r = 0; r < rows; ++r)
+            EXPECT_EQ(std::memcmp(fast.data() + r * n,
+                                  ref.data() + r * n,
+                                  n * sizeof(float)),
+                      0)
+                << "n " << n << " row " << r;
+    }
 }
 
 TEST(TriangleAttentionOpt, MatchesNaive)

@@ -101,6 +101,27 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(parseJson("\"bad\x01ctl\""), FatalError);
 }
 
+TEST(Json, DeepNestingFailsWithDepthAndPosition)
+{
+    EXPECT_EQ(parseJson(std::string(512, '[') + std::string(512, ']'))
+                  .size(),
+              1u);
+    EXPECT_THROW(parseJson(std::string(513, '[') +
+                           std::string(513, ']')),
+                 FatalError);
+    // Two million open brackets used to overflow the stack.
+    try {
+        parseJson(std::string(2'000'000, '['));
+        FAIL() << "deep nesting parsed";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "JSON parse error at line 1 col 513: nesting "
+                     "depth 513 exceeds the limit of 512");
+    }
+    EXPECT_THROW(parseJson("{\"a\":" + std::string(600, '[')),
+                 FatalError);
+}
+
 TEST(Json, TypeMismatchIsFatal)
 {
     const auto v = parseJson("[1]");

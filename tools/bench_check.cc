@@ -25,7 +25,8 @@
  * (`{"entries": [{"label", "benchmarks": [...]}]}`, e.g. the
  * repo-root BENCH_serving.json): the newest entry is the baseline,
  * and --append records the current run as a new entry after the
- * gate passes.
+ * gate passes, with the current file's `"context"` object when it
+ * has one.
  *
  * Usage:
  *   bench_check --baseline <json> --current <json>
@@ -252,6 +253,10 @@ main(int argc, char **argv)
     if (append) {
         JsonValue entry = JsonValue::makeObject();
         entry["label"] = label.empty() ? "unlabeled" : label;
+        // bench_kernels names its SIMD clone here; keep it with the
+        // row so the trend says which ISA each entry timed.
+        if (currentDoc.has("context"))
+            entry["context"] = currentDoc.at("context");
         entry["benchmarks"] = currentBenches;
         trend["entries"].push(std::move(entry));
         std::ofstream out(trendPath);
