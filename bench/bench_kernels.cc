@@ -9,7 +9,9 @@
  * Each DP kernel is benchmarked twice: untraced (what native runs
  * execute) and traced (`*Traced`: a counting sink attached at trace
  * stride 16, the paper-figure configuration — the same arithmetic
- * plus the sampled-cell trace walk). The tensor primitives pair the
+ * plus the sampled-cell trace walk). `AlignToProfile` times the MSA
+ * row aligner and `HierarchyReplay` the cache simulator alone, on a
+ * recorded 2PV7 traced-scan stream. The tensor primitives pair the
  * blocked branch-free kernels against local copies of the original
  * naive loops, plus pool-parallel variants.
  *
@@ -24,17 +26,25 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bio/samples.hh"
 #include "bio/seqgen.hh"
+#include "cachesim/hierarchy.hh"
+#include "core/workspace.hh"
+#include "io/pagecache.hh"
+#include "io/storage.hh"
 #include "model/diffusion.hh"
 #include "model/layers.hh"
 #include "model/pairformer.hh"
 #include "msa/dbgen.hh"
 #include "msa/dp_kernels.hh"
+#include "msa/jackhmmer.hh"
 #include "msa/search.hh"
 #include "tensor/ops.hh"
 #include "util/json.hh"
@@ -197,6 +207,100 @@ BENCHMARK(BM_CalcBand10Traced)
     ->Args({256, 96})
     ->Args({512, 96})
     ->Args({256, 16});
+
+void
+BM_AlignToProfile(benchmark::State &state)
+{
+    // A planted homolog of the query, as the MSA builder aligns.
+    const auto m = static_cast<size_t>(state.range(0));
+    bio::SequenceGenerator gen(4);
+    const auto q = gen.random("q", bio::MoleculeType::Protein, m);
+    const auto t = gen.mutate(q, "t");
+    const auto prof = msa::ProfileHmm::fromSequence(
+        q, msa::ScoreMatrix::blosum62());
+    uint64_t cells = 0;
+    for (auto _ : state) {
+        const auto r = msa::alignToProfile(prof, t);
+        benchmark::DoNotOptimize(r.profileToTarget.data());
+        cells += r.cells;
+    }
+    state.counters["cells/s"] = benchmark::Counter(
+        static_cast<double>(cells), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AlignToProfile)->Arg(256);
+
+// --- Cache simulator -------------------------------------------------------
+
+/** Keeps the references a traced scan emits. */
+class StreamRecorder : public MemTraceSink
+{
+  public:
+    std::vector<MemAccess> refs;
+
+    void access(const MemAccess &a) override { refs.push_back(a); }
+    void instructions(FuncId, uint64_t) override {}
+    void branches(FuncId, uint64_t, uint64_t) override {}
+};
+
+/** The references of 2PV7's traced jackhmmer scans at the
+ *  paper-figure stride, recorded once per process. */
+const std::vector<MemAccess> &
+recorded2pv7Stream()
+{
+    static const std::vector<MemAccess> refs = [] {
+        StreamRecorder rec;
+        const auto sample = bio::makeSample("2PV7");
+        const auto &ws = core::Workspace::shared();
+        io::StorageDevice device(sys::desktopPlatform().storage);
+        io::PageCache cache(1 * GiB, &device);
+        msa::JackhmmerConfig cfg;
+        cfg.search.threads = 1;
+        cfg.search.kernel.traceStride = kBenchTraceStride;
+        cfg.build.kernel.traceStride = kBenchTraceStride;
+        for (const auto &chain : sample.complex.chains())
+            if (chain.type() == bio::MoleculeType::Protein)
+                msa::runJackhmmer(chain, ws.proteinDb(), cache,
+                                  nullptr, cfg, 0.0, {&rec});
+        return std::move(rec.refs);
+    }();
+    return refs;
+}
+
+/**
+ * Replay the recorded stream through a fresh one-thread simulator of
+ * @p platform, set up as the MSA phase builds it (prefilled arena),
+ * in the trace walk's batch size; set-up is not timed.
+ */
+void
+BM_HierarchyReplay(benchmark::State &state,
+                   const sys::PlatformSpec &platform)
+{
+    const auto &refs = recorded2pv7Stream();
+    constexpr size_t kBatch = 256;
+    uint64_t replayed = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        cachesim::HierarchyConfig hcfg;
+        hcfg.cpu = platform.cpu;
+        hcfg.sampleWeight = kBenchTraceStride;
+        auto sim = std::make_unique<cachesim::HierarchySim>(hcfg);
+        const msa::KernelConfig kernelDefaults;
+        sim->prefillLlc(kernelDefaults.arenaBase,
+                        kernelDefaults.arenaBytes);
+        state.ResumeTiming();
+        for (size_t i = 0; i < refs.size(); i += kBatch)
+            sim->accesses(refs.data() + i,
+                          std::min(kBatch, refs.size() - i));
+        benchmark::DoNotOptimize(sim->totals().llcMisses);
+        replayed += refs.size();
+    }
+    state.counters["refs/s"] = benchmark::Counter(
+        static_cast<double>(replayed), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_HierarchyReplay, Desktop, sys::desktopPlatform())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HierarchyReplay, Server, sys::serverPlatform())
+    ->Unit(benchmark::kMillisecond);
 
 // --- Pairformer layers -----------------------------------------------------
 

@@ -19,8 +19,6 @@ FuncCounters::merge(const FuncCounters &o)
     branchMisses += o.branchMisses;
 }
 
-namespace {
-
 sys::CacheGeometry
 llcSliceGeometry(const sys::CpuSpec &cpu, uint32_t active_threads)
 {
@@ -33,8 +31,6 @@ llcSliceGeometry(const sys::CpuSpec &cpu, uint32_t active_threads)
     return g;
 }
 
-} // namespace
-
 HierarchySim::HierarchySim(const HierarchyConfig &cfg)
     : cfg_(cfg),
       l1_(cfg.cpu.l1d, false),
@@ -45,30 +41,11 @@ HierarchySim::HierarchySim(const HierarchyConfig &cfg)
       tlb_(cfg.cpu.dtlbEntries, cfg.cpu.tlbPageBytes)
 {}
 
-FuncCounters &
-HierarchySim::slot(FuncId func)
-{
-    if (func >= perFunc_.size())
-        perFunc_.resize(func + size_t{1});
-    return perFunc_[func];
-}
-
 void
-HierarchySim::access(const MemAccess &a)
+HierarchySim::accesses(const MemAccess *a, size_t n)
 {
-    FuncCounters &c = slot(a.func);
-    ++c.accesses;
-    if (!tlb_.access(a.addr))
-        ++c.tlbMisses;
-    if (l1_.access(a.addr, a.write))
-        return;
-    ++c.l1Misses;
-    if (l2_.access(a.addr, a.write))
-        return;
-    ++c.l2Misses;
-    if (llcSlice_.access(a.addr, a.write))
-        return;
-    ++c.llcMisses;
+    for (size_t i = 0; i < n; ++i)
+        record(a[i]);
 }
 
 void

@@ -88,6 +88,12 @@ struct HierarchyConfig
     bool prefetch = true;
 };
 
+/** The LLC share one thread's simulator models: the effective LLC
+ *  capacity divided among @p active_threads, and never less than one
+ *  line per way. */
+sys::CacheGeometry llcSliceGeometry(const sys::CpuSpec &cpu,
+                                    uint32_t active_threads);
+
 /** One hardware thread's view of the memory hierarchy. */
 class HierarchySim : public MemTraceSink
 {
@@ -95,7 +101,8 @@ class HierarchySim : public MemTraceSink
     explicit HierarchySim(const HierarchyConfig &cfg);
 
     // MemTraceSink interface.
-    void access(const MemAccess &a) override;
+    void access(const MemAccess &a) override { record(a); }
+    void accesses(const MemAccess *a, size_t n) override;
     void instructions(FuncId func, uint64_t count) override;
     void branches(FuncId func, uint64_t predictable,
                   uint64_t data_dependent) override;
@@ -121,7 +128,33 @@ class HierarchySim : public MemTraceSink
     void prefillLlc(uint64_t base, uint64_t bytes);
 
   private:
-    FuncCounters &slot(FuncId func);
+    FuncCounters &
+    slot(FuncId func)
+    {
+        if (func >= perFunc_.size())
+            perFunc_.resize(func + size_t{1});
+        return perFunc_[func];
+    }
+
+    /** One reference down the hierarchy: dTLB, then L1, L2 and the
+     *  LLC slice until one hits. */
+    void
+    record(const MemAccess &a)
+    {
+        FuncCounters &c = slot(a.func);
+        ++c.accesses;
+        if (!tlb_.access(a.addr))
+            ++c.tlbMisses;
+        if (l1_.access(a.addr, a.write))
+            return;
+        ++c.l1Misses;
+        if (l2_.access(a.addr, a.write))
+            return;
+        ++c.l2Misses;
+        if (llcSlice_.access(a.addr, a.write))
+            return;
+        ++c.llcMisses;
+    }
 
     HierarchyConfig cfg_;
     Cache l1_;

@@ -63,22 +63,57 @@ dpSlot(uint64_t bytes)
     return (bytes + 63) & ~63ull;
 }
 
+/**
+ * Trace references on their way to the sink, handed over in
+ * fixed-size batches in emission order. The owner flushes before
+ * any non-access sink call, so the sink sees the same sequence as
+ * one access() call per reference.
+ */
+class TraceBatch
+{
+  public:
+    explicit TraceBatch(MemTraceSink *sink) : sink_(sink) {}
+
+    void
+    push(const MemAccess &a)
+    {
+        buf_[n_++] = a;
+        if (n_ == kSize)
+            flush();
+    }
+
+    void
+    flush()
+    {
+        if (n_ > 0)
+            sink_->accesses(buf_, n_);
+        n_ = 0;
+    }
+
+  private:
+    static constexpr size_t kSize = 256;
+
+    MemTraceSink *sink_;
+    size_t n_ = 0;
+    MemAccess buf_[kSize];
+};
+
 /** Emit the per-SIMD-block reference bundle. */
 inline void
-emitBlock(MemTraceSink *sink, const KernelConfig &cfg, FuncId func,
+emitBlock(TraceBatch &out, const KernelConfig &cfg, FuncId func,
           uint64_t profile_addr, uint64_t dp_read_addr,
           uint64_t dp_write_addr, size_t row, uint64_t cell)
 {
-    sink->access({profile_addr, 32, false, func});
-    sink->access({dp_read_addr, 64, false, func});
-    sink->access({dp_write_addr, 64, true, func});
+    out.push({profile_addr, 32, false, func});
+    out.push({dp_read_addr, 64, false, func});
+    out.push({dp_write_addr, 64, true, func});
     if (cfg.targetBase) {
         // Align to the sampled-trace line grid so stream lines are
         // always ones the reader (copy_to_iter) touched first —
         // compulsory misses belong to the copy, re-reads to us.
         const uint64_t grid = 64ull * cfg.traceStride;
-        sink->access({cfg.targetBase + (row / grid) * grid, 16,
-                      false, func});
+        out.push({cfg.targetBase + (row / grid) * grid, 16, false,
+                  func});
     }
     // Metadata reference: head line of a pseudo-random arena page
     // every other block (page-diverse, line-light).
@@ -90,8 +125,8 @@ emitBlock(MemTraceSink *sink, const KernelConfig &cfg, FuncId func,
         // is spread over all cache sets (page-aligned or otherwise
         // correlated offsets conflict-thrash a subset of sets).
         const uint64_t lineOff = (arenaHash(page) % 64) * 64;
-        sink->access({cfg.arenaBase + page * 4096 + lineOff, 8,
-                      false, func});
+        out.push({cfg.arenaBase + page * 4096 + lineOff, 8, false,
+                  func});
     }
     // Capacity reference: random line across the whole arena
     // (sampled like everything else, so the stride weight cancels).
@@ -100,7 +135,7 @@ emitBlock(MemTraceSink *sink, const KernelConfig &cfg, FuncId func,
             arenaHash(cell * 0x9e3779b97f4a7c15ull +
                       cfg.targetBase) %
             (cfg.arenaBytes / 64);
-        sink->access({cfg.arenaBase + slot * 64, 8, false, func});
+        out.push({cfg.arenaBase + slot * 64, 8, false, func});
     }
 }
 
@@ -477,6 +512,141 @@ calcBand10Ordered(const ProfileHmm &prof, const bio::Sequence &target,
     return result;
 }
 
+/*
+ * Backpointer byte of one alignment cell: bits 0-1 say where the match
+ * state came from (kFromStart, or M, I, D of the diagonal cell), bit 2
+ * that the insert state extended an insert, bit 3 that the delete state
+ * extended a delete.
+ */
+constexpr uint8_t kFromStart = 0;
+constexpr uint8_t kInsertExtends = 1 << 2;
+constexpr uint8_t kDeleteExtends = 1 << 3;
+
+/**
+ * Unbanded local affine alignment with traceback. The score rows roll
+ * (previous and current M/I/D, as in calcBand9Fast); only one packed
+ * backpointer byte per cell is kept for the traceback. Bit-identical to
+ * the full-matrix recurrence: a cell's match state takes the first of
+ * M, I, D (in that order) whose score strictly beats the running
+ * maximum from 0, the insert and delete states prefer opening on ties,
+ * and the traceback starts at the first cell, in row-major order, of
+ * the best match score.
+ */
+AFSB_SIMD_CLONES
+AlignmentResult
+alignToProfileFast(const ProfileHmm &prof, const bio::Sequence &target)
+{
+    const size_t M = prof.length();
+    const size_t L = target.length();
+    AlignmentResult result;
+    result.profileToTarget.assign(M, -1);
+
+    const int open = prof.gaps().open;
+    const int extend = prof.gaps().extend;
+    IntEmissions emit(prof);
+
+    std::vector<int> bufs[6];
+    for (auto &b : bufs)
+        b.assign(M + 1, kNeg);
+    int *pM = bufs[0].data(), *pI = bufs[1].data(),
+        *pD = bufs[2].data();
+    int *cM = bufs[3].data(), *cI = bufs[4].data(),
+        *cD = bufs[5].data();
+    // Row j-1 of the L x M backpointer bytes is target position j.
+    std::vector<uint8_t> back(L * M);
+
+    int best = 0;
+    size_t bestJ = 0, bestK = 0;
+    for (size_t j = 1; j <= L; ++j) {
+        const int *AFSB_RESTRICT e = emit.row(target[j - 1]);
+        uint8_t *AFSB_RESTRICT bp = back.data() + (j - 1) * M;
+        {
+            // M and I read the previous row only.
+            const int *AFSB_RESTRICT prevM = pM;
+            const int *AFSB_RESTRICT prevI = pI;
+            const int *AFSB_RESTRICT prevD = pD;
+            int *AFSB_RESTRICT curM = cM;
+            int *AFSB_RESTRICT curI = cI;
+            AFSB_VECTORIZE_LOOP
+            for (size_t k = 1; k <= M; ++k) {
+                // Running strict maximum from 0 over M, I, D.
+                const int fromM = prevM[k - 1], fromI = prevI[k - 1],
+                          fromD = prevD[k - 1];
+                const bool takeM = fromM > 0;
+                int d = takeM ? fromM : 0;
+                uint8_t b = takeM ? 1 : kFromStart;
+                const bool takeI = fromI > d;
+                d = takeI ? fromI : d;
+                b = takeI ? 2 : b;
+                const bool takeD = fromD > d;
+                d = takeD ? fromD : d;
+                b = takeD ? 3 : b;
+                curM[k] = d + e[k - 1];
+                const int openI = prevM[k] - open;
+                const int extendI = prevI[k] - extend;
+                const bool extI = openI < extendI;
+                curI[k] = extI ? extendI : openI;
+                bp[k - 1] = extI ? b | kInsertExtends : b;
+            }
+        }
+        // D carries along the row: a short scalar chain.
+        for (size_t k = 1; k <= M; ++k) {
+            const int openD = cM[k - 1] - open;
+            const int extendD = cD[k - 1] - extend;
+            const bool extD = openD < extendD;
+            cD[k] = extD ? extendD : openD;
+            bp[k - 1] |= extD ? kDeleteExtends : 0;
+        }
+
+        // The first cell that beats every earlier cell is the first
+        // occurrence of the row max whenever that max beats `best`.
+        int rowMax = kNeg;
+        {
+            const int *AFSB_RESTRICT curM = cM;
+            AFSB_VECTORIZE_LOOP
+            for (size_t k = 1; k <= M; ++k)
+                rowMax = std::max(rowMax, curM[k]);
+        }
+        if (rowMax > best) {
+            best = rowMax;
+            bestJ = j;
+            bestK = static_cast<size_t>(
+                std::find(cM + 1, cM + M + 1, rowMax) - cM);
+        }
+        std::swap(pM, cM);
+        std::swap(pI, cI);
+        std::swap(pD, cD);
+    }
+    result.score = best;
+    result.cells = static_cast<uint64_t>(L) * M;
+    if (best <= 0)
+        return result;
+
+    // Traceback from the best match cell.
+    size_t j = bestJ, k = bestK;
+    int state = 0;  // 0=M, 1=I, 2=D
+    while (j > 0 && k > 0) {
+        const uint8_t b = back[(j - 1) * M + (k - 1)];
+        if (state == 0) {
+            result.profileToTarget[k - 1] =
+                static_cast<int32_t>(j - 1);
+            const uint8_t from = b & 3;
+            if (from == kFromStart)
+                break;  // local alignment start
+            state = from - 1;  // 1->M, 2->I, 3->D
+            --j;
+            --k;
+        } else if (state == 1) {
+            state = b & kInsertExtends ? 1 : 0;
+            --j;
+        } else {
+            state = b & kDeleteExtends ? 2 : 0;
+            --k;
+        }
+    }
+    return result;
+}
+
 /** A zero stride would divide by zero in emitBlock and never advance
  *  the sampled-cell walk: reject it as a configuration error. */
 inline void
@@ -491,8 +661,9 @@ requireTraceStride(const KernelConfig &cfg, const MemTraceSink *sink,
 
 /**
  * Emit the reference bundles of a kernel's sampled cells — cell
- * index ≡ 0 mod kSimdWidth·traceStride in row-major cell order; the
- * caller adds finishKernel. Every emitted address depends only on
+ * index ≡ 0 mod kSimdWidth·traceStride in row-major cell order — in
+ * TraceBatch batches, all flushed before it returns; the caller adds
+ * finishKernel. Every emitted address depends only on
  * (row, column, residue, cell index), never on a DP value, so this
  * walk visits the sampled cells alone and the sink sees exactly the
  * calls a cell-by-cell loop would make between its arithmetic. Row j
@@ -516,6 +687,7 @@ traceSampledCells(const ProfileHmm &prof, const bio::Sequence &target,
     uint64_t vCur = kDpBase + (banded ? 3 : 1) * slot;
     uint64_t first = 0;   // cell index of the row's first cell
     uint64_t sampled = 0; // next sampled cell index
+    TraceBatch out(sink);
     for (size_t j = 1; j <= L; ++j) {
         size_t kLo = 1, kHi = M;
         if (banded)
@@ -524,13 +696,14 @@ traceSampledCells(const ProfileHmm &prof, const bio::Sequence &target,
         const uint8_t res = target[j - 1];
         for (; sampled < end; sampled += blockStride) {
             const size_t k = kLo + (sampled - first);
-            emitBlock(sink, cfg, func, profAddr(prof, k - 1, res),
+            emitBlock(out, cfg, func, profAddr(prof, k - 1, res),
                       vPrev + (k - 1) * elem_bytes,
                       vCur + k * elem_bytes, j - 1, sampled);
         }
         first = end;
         std::swap(vPrev, vCur);
     }
+    out.flush();
 }
 
 } // namespace
@@ -594,110 +767,12 @@ alignToProfile(const ProfileHmm &prof, const bio::Sequence &target,
                const KernelConfig &cfg)
 {
     (void)cfg;
-    const size_t M = prof.length();
-    const size_t L = target.length();
-    AlignmentResult result;
-    result.profileToTarget.assign(M, -1);
-    if (L == 0 || M == 0)
+    if (target.length() == 0 || prof.length() == 0) {
+        AlignmentResult result;
+        result.profileToTarget.assign(prof.length(), -1);
         return result;
-
-    const int open = prof.gaps().open;
-    const int extend = prof.gaps().extend;
-
-    // Full (unbanded) local affine DP with backpointers; only run on
-    // the handful of accepted hits, so the O(L*M) footprint is fine.
-    const size_t W = M + 1;
-    std::vector<int> sM((L + 1) * W, kNeg), sI((L + 1) * W, kNeg),
-        sD((L + 1) * W, kNeg);
-    // Backpointers: bM 0=start 1=M 2=I 3=D; bI 0=M 1=I; bD 0=M 1=D.
-    std::vector<uint8_t> bM((L + 1) * W, 0), bI((L + 1) * W, 0),
-        bD((L + 1) * W, 0);
-
-    for (size_t k = 0; k < W; ++k)
-        sM[k] = kNeg;
-
-    int best = 0;
-    size_t bestJ = 0, bestK = 0;
-    for (size_t j = 1; j <= L; ++j) {
-        const uint8_t res = target[j - 1];
-        const size_t row = j * W;
-        const size_t prow = (j - 1) * W;
-        sM[row] = kNeg;
-        for (size_t k = 1; k <= M; ++k) {
-            const int emit = prof.matchScore(k - 1, res);
-            // Match state.
-            int d = 0;
-            uint8_t bp = 0;
-            if (sM[prow + k - 1] > d) {
-                d = sM[prow + k - 1];
-                bp = 1;
-            }
-            if (sI[prow + k - 1] > d) {
-                d = sI[prow + k - 1];
-                bp = 2;
-            }
-            if (sD[prow + k - 1] > d) {
-                d = sD[prow + k - 1];
-                bp = 3;
-            }
-            const int m = d + emit;
-            sM[row + k] = m;
-            bM[row + k] = bp;
-            if (m > best) {
-                best = m;
-                bestJ = j;
-                bestK = k;
-            }
-            // Insert (consume target, keep profile position).
-            const int iFromM = sM[prow + k] - open;
-            const int iFromI = sI[prow + k] - extend;
-            if (iFromM >= iFromI) {
-                sI[row + k] = iFromM;
-                bI[row + k] = 0;
-            } else {
-                sI[row + k] = iFromI;
-                bI[row + k] = 1;
-            }
-            // Delete (consume profile, keep target position).
-            const int dFromM = sM[row + k - 1] - open;
-            const int dFromD = sD[row + k - 1] - extend;
-            if (dFromM >= dFromD) {
-                sD[row + k] = dFromM;
-                bD[row + k] = 0;
-            } else {
-                sD[row + k] = dFromD;
-                bD[row + k] = 1;
-            }
-            ++result.cells;
-        }
     }
-    result.score = best;
-    if (best <= 0)
-        return result;
-
-    // Traceback from the best match cell.
-    size_t j = bestJ, k = bestK;
-    int state = 0;  // 0=M, 1=I, 2=D
-    while (j > 0 && k > 0) {
-        const size_t idx = j * W + k;
-        if (state == 0) {
-            result.profileToTarget[k - 1] =
-                static_cast<int32_t>(j - 1);
-            const uint8_t bp = bM[idx];
-            if (bp == 0)
-                break;  // local alignment start
-            state = bp - 1;  // 1->M, 2->I, 3->D
-            --j;
-            --k;
-        } else if (state == 1) {
-            state = bI[idx] == 0 ? 0 : 1;
-            --j;
-        } else {
-            state = bD[idx] == 0 ? 0 : 2;
-            --k;
-        }
-    }
-    return result;
+    return alignToProfileFast(prof, target);
 }
 
 } // namespace afsb::msa

@@ -12,8 +12,10 @@
  *                   calc_band_9 symbol.
  *  - calcBand10   — banded Forward rescore in probability space with
  *                   per-row rescaling; the calc_band_10 symbol.
- *  - alignToProfile — banded Viterbi with traceback, used to place
- *                   accepted hits into MSA rows.
+ *  - alignToProfile — unbanded local affine-gap DP with traceback,
+ *                   used to place accepted hits into MSA rows; the
+ *                   score rows roll, and one backpointer byte per
+ *                   cell is kept for the traceback.
  *
  * All kernels do real arithmetic over real sequences; with a
  * MemTraceSink attached they additionally emit a (sampled) memory
@@ -162,7 +164,10 @@ ForwardResult calcBand10(const ProfileHmm &prof,
                          const KernelConfig &cfg = {},
                          MemTraceSink *sink = nullptr);
 
-/** Banded Viterbi with traceback for MSA row construction. */
+/**
+ * Unbanded local affine-gap alignment with traceback, for MSA row
+ * construction. Untraced; @p cfg is not read (the DP is unbanded).
+ */
 AlignmentResult alignToProfile(const ProfileHmm &prof,
                                const bio::Sequence &target,
                                const KernelConfig &cfg = {});

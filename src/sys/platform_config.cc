@@ -1,6 +1,8 @@
 #include "sys/platform_config.hh"
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 
 #include "io/textfile.hh"
 #include "util/logging.hh"
@@ -31,6 +33,41 @@ asUint(const JsonValue &v, const std::string &context,
     return static_cast<uint64_t>(n);
 }
 
+/** asUint for a 32-bit field: larger values are errors, not
+ *  truncated. */
+uint32_t
+asUint32(const JsonValue &v, const std::string &context,
+         const std::string &key)
+{
+    const uint64_t n = asUint(v, context, key);
+    if (n > std::numeric_limits<uint32_t>::max())
+        fatal("platform config " + context + ": key '" + key +
+              "' exceeds " +
+              std::to_string(std::numeric_limits<uint32_t>::max()));
+    return static_cast<uint32_t>(n);
+}
+
+/**
+ * The geometry the cache simulator needs: a nonzero size and
+ * associativity, and a line size that is a power of two of at least
+ * 2 bytes (lines and sets are found by shifts and masks).
+ */
+void
+checkCache(const CacheGeometry &c, const std::string &context,
+           const std::string &section)
+{
+    if (c.size == 0)
+        fatal("platform config " + context + ": " + section +
+              ".size must be >= 1");
+    if (c.associativity == 0)
+        fatal("platform config " + context + ": " + section +
+              ".associativity must be >= 1");
+    if (c.lineSize < 2 || !std::has_single_bit(c.lineSize))
+        fatal("platform config " + context + ": " + section +
+              ".line_size must be a power of two >= 2 (got " +
+              std::to_string(c.lineSize) + ")");
+}
+
 JsonValue
 cacheToJson(const CacheGeometry &c)
 {
@@ -51,11 +88,9 @@ cacheFromJson(const JsonValue &doc, const std::string &context,
         if (key == "size")
             c.size = asUint(value, context, key);
         else if (key == "associativity")
-            c.associativity =
-                static_cast<uint32_t>(asUint(value, context, key));
+            c.associativity = asUint32(value, context, key);
         else if (key == "line_size")
-            c.lineSize =
-                static_cast<uint32_t>(asUint(value, context, key));
+            c.lineSize = asUint32(value, context, key);
         else if (key == "latency_cycles")
             c.latencyCycles = value.asNumber();
         else
@@ -107,11 +142,9 @@ cpuFromJson(const JsonValue &doc, const std::string &context)
         else if (key == "vendor")
             c.vendor = value.asString();
         else if (key == "cores")
-            c.cores =
-                static_cast<uint32_t>(asUint(value, context, key));
+            c.cores = asUint32(value, context, key);
         else if (key == "threads")
-            c.threads =
-                static_cast<uint32_t>(asUint(value, context, key));
+            c.threads = asUint32(value, context, key);
         else if (key == "base_clock_ghz")
             c.baseClockGhz = value.asNumber();
         else if (key == "max_clock_ghz")
@@ -125,8 +158,7 @@ cpuFromJson(const JsonValue &doc, const std::string &context)
         else if (key == "llc")
             c.llc = cacheFromJson(value, context, "cpu.llc");
         else if (key == "dtlb_entries")
-            c.dtlbEntries =
-                static_cast<uint32_t>(asUint(value, context, key));
+            c.dtlbEntries = asUint32(value, context, key);
         else if (key == "dtlb_miss_penalty_cycles")
             c.dtlbMissPenaltyCycles = value.asNumber();
         else if (key == "tlb_page_bytes")
@@ -159,6 +191,18 @@ cpuFromJson(const JsonValue &doc, const std::string &context)
     if (c.cores == 0)
         fatal("platform config " + context +
               ": cpu.cores must be >= 1");
+    checkCache(c.l1d, context, "cpu.l1d");
+    checkCache(c.l2, context, "cpu.l2");
+    checkCache(c.llc, context, "cpu.llc");
+    if (c.dtlbEntries == 0)
+        fatal("platform config " + context +
+              ": cpu.dtlb_entries must be >= 1");
+    if (c.tlbPageBytes < 2 || c.tlbPageBytes > (uint64_t{1} << 31) ||
+        !std::has_single_bit(c.tlbPageBytes))
+        fatal("platform config " + context +
+              ": cpu.tlb_page_bytes must be a power of two from 2 "
+              "bytes to 2 GiB (got " +
+              std::to_string(c.tlbPageBytes) + ")");
     return c;
 }
 
@@ -248,8 +292,7 @@ storageFromJson(const JsonValue &doc, const std::string &context)
         else if (key == "base_latency")
             s.baseLatency = value.asNumber();
         else if (key == "queue_depth")
-            s.queueDepth =
-                static_cast<uint32_t>(asUint(value, context, key));
+            s.queueDepth = asUint32(value, context, key);
         else
             badKey(context, "storage", key);
     }

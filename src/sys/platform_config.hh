@@ -30,8 +30,11 @@ JsonValue platformToJson(const PlatformSpec &platform);
 /**
  * Parse a platform config document.
  * @param context Source label ("riscv-cpu.json") for error messages.
- * @throws FatalError on unknown keys, type mismatches, or a bad
- *         format/version header.
+ * @throws FatalError on unknown keys, type mismatches, a bad
+ *         format/version header, or cache/TLB geometry the cache
+ *         simulator cannot model (zero sizes, associativities or
+ *         dTLB entries; line and page sizes that are not powers of
+ *         two, or pages over 2 GiB).
  */
 PlatformSpec platformFromJson(const JsonValue &doc,
                               const std::string &context);

@@ -17,6 +17,7 @@
 #ifndef AFSB_UTIL_MEMTRACE_HH
 #define AFSB_UTIL_MEMTRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,6 +48,18 @@ class MemTraceSink
      * weight the resulting miss counts by the agreed stride.
      */
     virtual void access(const MemAccess &a) = 0;
+
+    /**
+     * @p n references in stream order: the same as calling access()
+     * on each, which is what the default does. A consumer overrides
+     * it to take a producer's batch in one call.
+     */
+    virtual void
+    accesses(const MemAccess *a, size_t n)
+    {
+        for (size_t i = 0; i < n; ++i)
+            access(a[i]);
+    }
 
     /**
      * @p count total instructions attributed to @p func (inclusive

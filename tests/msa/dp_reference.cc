@@ -297,4 +297,115 @@ calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
     return result;
 }
 
+AlignmentResult
+alignToProfile(const ProfileHmm &prof, const bio::Sequence &target,
+               const KernelConfig &cfg)
+{
+    (void)cfg;
+    const size_t M = prof.length();
+    const size_t L = target.length();
+    AlignmentResult result;
+    result.profileToTarget.assign(M, -1);
+    if (L == 0 || M == 0)
+        return result;
+
+    const int open = prof.gaps().open;
+    const int extend = prof.gaps().extend;
+
+    // Full (unbanded) local affine DP with backpointers; only run on
+    // the handful of accepted hits, so the O(L*M) footprint is fine.
+    const size_t W = M + 1;
+    std::vector<int> sM((L + 1) * W, kNeg), sI((L + 1) * W, kNeg),
+        sD((L + 1) * W, kNeg);
+    // Backpointers: bM 0=start 1=M 2=I 3=D; bI 0=M 1=I; bD 0=M 1=D.
+    std::vector<uint8_t> bM((L + 1) * W, 0), bI((L + 1) * W, 0),
+        bD((L + 1) * W, 0);
+
+    for (size_t k = 0; k < W; ++k)
+        sM[k] = kNeg;
+
+    int best = 0;
+    size_t bestJ = 0, bestK = 0;
+    for (size_t j = 1; j <= L; ++j) {
+        const uint8_t res = target[j - 1];
+        const size_t row = j * W;
+        const size_t prow = (j - 1) * W;
+        sM[row] = kNeg;
+        for (size_t k = 1; k <= M; ++k) {
+            const int emit = prof.matchScore(k - 1, res);
+            // Match state.
+            int d = 0;
+            uint8_t bp = 0;
+            if (sM[prow + k - 1] > d) {
+                d = sM[prow + k - 1];
+                bp = 1;
+            }
+            if (sI[prow + k - 1] > d) {
+                d = sI[prow + k - 1];
+                bp = 2;
+            }
+            if (sD[prow + k - 1] > d) {
+                d = sD[prow + k - 1];
+                bp = 3;
+            }
+            const int m = d + emit;
+            sM[row + k] = m;
+            bM[row + k] = bp;
+            if (m > best) {
+                best = m;
+                bestJ = j;
+                bestK = k;
+            }
+            // Insert (consume target, keep profile position).
+            const int iFromM = sM[prow + k] - open;
+            const int iFromI = sI[prow + k] - extend;
+            if (iFromM >= iFromI) {
+                sI[row + k] = iFromM;
+                bI[row + k] = 0;
+            } else {
+                sI[row + k] = iFromI;
+                bI[row + k] = 1;
+            }
+            // Delete (consume profile, keep target position).
+            const int dFromM = sM[row + k - 1] - open;
+            const int dFromD = sD[row + k - 1] - extend;
+            if (dFromM >= dFromD) {
+                sD[row + k] = dFromM;
+                bD[row + k] = 0;
+            } else {
+                sD[row + k] = dFromD;
+                bD[row + k] = 1;
+            }
+            ++result.cells;
+        }
+    }
+    result.score = best;
+    if (best <= 0)
+        return result;
+
+    // Traceback from the best match cell.
+    size_t j = bestJ, k = bestK;
+    int state = 0;  // 0=M, 1=I, 2=D
+    while (j > 0 && k > 0) {
+        const size_t idx = j * W + k;
+        if (state == 0) {
+            result.profileToTarget[k - 1] =
+                static_cast<int32_t>(j - 1);
+            const uint8_t bp = bM[idx];
+            if (bp == 0)
+                break;  // local alignment start
+            state = bp - 1;  // 1->M, 2->I, 3->D
+            --j;
+            --k;
+        } else if (state == 1) {
+            state = bI[idx] == 0 ? 0 : 1;
+            --j;
+        } else {
+            state = bD[idx] == 0 ? 0 : 2;
+            --k;
+        }
+    }
+    return result;
+}
+
 } // namespace afsb::msa::reference

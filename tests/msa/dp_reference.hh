@@ -12,6 +12,10 @@
  * batch, and branch batch, in order) must match exactly.
  *
  * A null sink runs the same loops without emission.
+ *
+ * alignToProfile is kept here too, as the full-matrix aligner the
+ * rolling-row library version is checked against (score, cells, and
+ * the profile-to-target map).
  */
 
 #ifndef AFSB_TESTS_MSA_DP_REFERENCE_HH
@@ -37,6 +41,12 @@ ForwardResult calcBand10(const ProfileHmm &prof,
                          const bio::Sequence &target,
                          const KernelConfig &cfg = {},
                          MemTraceSink *sink = nullptr);
+
+/** Full-matrix local affine DP with traceback (three score and three
+ *  backpointer matrices). */
+AlignmentResult alignToProfile(const ProfileHmm &prof,
+                               const bio::Sequence &target,
+                               const KernelConfig &cfg = {});
 
 } // namespace afsb::msa::reference
 

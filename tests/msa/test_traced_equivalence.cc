@@ -13,6 +13,11 @@
  * widths from degenerate to unbanded, every sampling stride shape,
  * both stream-base modes, and both alphabets; a long case crosses
  * the arena capacity-reference boundary (kArenaCells * traceStride).
+ *
+ * AlignEquivalence holds the rolling-row alignToProfile to the
+ * full-matrix oracle over the same profile/target length grid, both
+ * alphabets, one-residue profiles and targets, and targets with tied
+ * best cells.
  */
 
 #include <gtest/gtest.h>
@@ -216,6 +221,100 @@ TEST(TracedStreamEquivalence, CrossesArenaCapacityBoundary)
                 checkCase(prof, t, cfg, true);
             }
         }
+}
+
+/** The rolling-row aligner against the full-matrix oracle: score,
+ *  cells and the whole profile-to-target map. */
+void
+checkAlignment(const ProfileHmm &prof, const bio::Sequence &t)
+{
+    SCOPED_TRACE("M=" + std::to_string(prof.length()) +
+                 " L=" + std::to_string(t.length()) + " t=" +
+                 t.toString());
+    const auto r = alignToProfile(prof, t);
+    const auto ref = reference::alignToProfile(prof, t);
+    EXPECT_EQ(r.score, ref.score);
+    EXPECT_EQ(r.cells, ref.cells);
+    EXPECT_EQ(r.profileToTarget, ref.profileToTarget);
+}
+
+/** Over the M x L grid of the traced sweeps: a random target per
+ *  (M, L), plus gapped homologs of each query, whose tracebacks run
+ *  through insert and delete states (and their open/extend ties). */
+void
+alignSweep(MoleculeType type, uint64_t seed)
+{
+    bio::SequenceGenerator gen(seed);
+    bio::MutationParams gapped;
+    gapped.substitutionRate = 0.05;
+    gapped.insertionRate = 0.1;
+    gapped.deletionRate = 0.1;
+    for (size_t m : kProfileLens) {
+        const auto q = gen.random("q", type, m);
+        const auto prof = profileOf(q);
+        for (int h = 0; h < 12; ++h)
+            checkAlignment(prof, gen.mutate(q, "h", gapped));
+        for (size_t l : kTargetLens)
+            checkAlignment(prof, gen.random("t", type, l));
+    }
+}
+
+TEST(AlignEquivalence, ProteinGrid)
+{
+    alignSweep(MoleculeType::Protein, 310);
+}
+
+TEST(AlignEquivalence, NucleotideGrid)
+{
+    alignSweep(MoleculeType::Rna, 311);
+}
+
+TEST(AlignEquivalence, SingleResidueProfileOrTarget)
+{
+    // M = 1 or L = 1 with a matching residue, so the best cell is
+    // positive and the traceback runs on a one-column or one-row
+    // matrix.
+    for (auto type : {MoleculeType::Protein, MoleculeType::Dna}) {
+        const std::string one = type == MoleculeType::Protein ? "W" : "G";
+        const std::string many =
+            type == MoleculeType::Protein ? "AWCWDW" : "ACGTGGA";
+        const bio::Sequence a("a", type, one), b("b", type, many);
+        checkAlignment(profileOf(a), b);
+        checkAlignment(profileOf(b), a);
+        checkAlignment(profileOf(a), a);
+    }
+}
+
+TEST(AlignEquivalence, TiedBestCellsTakeTheFirst)
+{
+    // Targets with several cells at the best score: the query twice
+    // over (two equal end cells in different rows), the query twice
+    // inside one profile row's reach, and homopolymers, where a whole
+    // diagonal band ties.
+    bio::SequenceGenerator gen(312);
+    for (auto type : {MoleculeType::Protein, MoleculeType::Rna}) {
+        const auto q = gen.random("q", type, 24);
+        const auto prof = profileOf(q);
+        const std::string text = q.toString();
+        const bio::Sequence doubled("t", type, text + text);
+        checkAlignment(prof, doubled);
+        // Both copies align at the full self score; the first copy's
+        // end cell comes first in row-major order.
+        const auto first = alignToProfile(prof, doubled);
+        for (size_t k = 0; k < q.length(); ++k)
+            EXPECT_EQ(first.profileToTarget[k], static_cast<int32_t>(k));
+        checkAlignment(prof,
+                       bio::Sequence("t", type, text + "A" + text));
+        const auto twice = profileOf(bio::Sequence("q", type, text + text));
+        checkAlignment(twice, q);
+        const std::string poly(30, type == MoleculeType::Protein ? 'Q'
+                                                                 : 'A');
+        const auto polyProf =
+            profileOf(bio::Sequence("p", type, poly.substr(0, 12)));
+        checkAlignment(polyProf, bio::Sequence("t", type, poly));
+        checkAlignment(profileOf(bio::Sequence("p", type, poly)),
+                       bio::Sequence("t", type, poly.substr(0, 7)));
+    }
 }
 
 } // namespace
