@@ -42,7 +42,6 @@
 #include "model/diffusion.hh"
 #include "model/layers.hh"
 #include "model/pairformer.hh"
-#include "msa/dbgen.hh"
 #include "msa/dp_kernels.hh"
 #include "msa/jackhmmer.hh"
 #include "msa/search.hh"
@@ -642,62 +641,6 @@ BM_PairformerBlockTaskGraph(benchmark::State &state)
     runPairformerBlockBench(state, true);
 }
 BENCHMARK(BM_PairformerBlockTaskGraph)->Arg(32)->Arg(64);
-
-/**
- * Overlapped staged database scan, queue engine vs TaskGroup engine
- * (SearchConfig::taskScan). A homopolymer-skewed query inflates the
- * survivor stage — the skew the dynamic stages exist to balance —
- * and the page cache stays warm after the first iteration, so the
- * steady state measures scheduling, not disk.
- */
-void
-runStagedScanBench(benchmark::State &state, bool taskScan)
-{
-    const auto decoys = static_cast<size_t>(state.range(0));
-    bio::SequenceGenerator gen(4242);
-    const auto query = gen.withHomopolymer("q", 200, 48, 'Q');
-    io::Vfs vfs;
-    io::StorageDevice dev;
-    io::PageCache cache(1 * GiB, &dev);
-    msa::DbGenConfig dcfg;
-    dcfg.decoyCount = decoys;
-    dcfg.homologsPerQuery = 8;
-    dcfg.fragmentsPerQuery = 6;
-    dcfg.lowComplexityFraction = 0.1;
-    const std::vector<const bio::Sequence *> queries = {&query};
-    msa::generateDatabase(vfs, "bench.fasta", queries,
-                          bio::MoleculeType::Protein, dcfg);
-    const auto db = msa::SequenceDatabase::load(
-        vfs, cache, "bench.fasta", bio::MoleculeType::Protein, 0.0);
-    const auto prof = msa::ProfileHmm::fromSequence(
-        query, msa::ScoreMatrix::blosum62());
-
-    ThreadPool pool(kBenchPoolThreads);
-    msa::SearchConfig cfg;
-    cfg.threads = kBenchPoolThreads;
-    cfg.overlap = true;
-    cfg.taskScan = taskScan;
-
-    for (auto _ : state) {
-        const auto r =
-            msa::searchDatabase(prof, db, cache, &pool, cfg);
-        benchmark::DoNotOptimize(r.stats.hits);
-    }
-}
-
-void
-BM_StagedScanQueue(benchmark::State &state)
-{
-    runStagedScanBench(state, false);
-}
-BENCHMARK(BM_StagedScanQueue)->Arg(300);
-
-void
-BM_StagedScanTaskGraph(benchmark::State &state)
-{
-    runStagedScanBench(state, true);
-}
-BENCHMARK(BM_StagedScanTaskGraph)->Arg(300);
 
 // --- Tensor primitives ------------------------------------------------------
 

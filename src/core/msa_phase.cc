@@ -148,12 +148,10 @@ runMsaPhase(const bio::Complex &complex_input,
     msa::JackhmmerConfig jcfg;
     jcfg.iterations = options.jackhmmerIterations;
     jcfg.search.threads = threads;
-    jcfg.search.overlap = options.overlapScan;
     jcfg.search.kernel.traceStride = options.traceStride;
     jcfg.build.kernel.traceStride = options.traceStride;
     msa::NhmmerConfig ncfg;
     ncfg.search.threads = threads;
-    ncfg.search.overlap = options.overlapScan;
     ncfg.search.kernel.traceStride = options.traceStride;
     ncfg.build.kernel.traceStride = options.traceStride;
 

@@ -45,17 +45,6 @@ struct MsaPhaseOptions
      */
     bool preloadDatabases = false;
 
-    /**
-     * Allow the staged overlapped scan (async chunk prefetch +
-     * dynamic survivor scheduling) on untraced scans. The phase's
-     * traced simulation runs always use the static partition (the
-     * per-worker trace streams are the simulator contract), so this
-     * only matters when tracing is off — but the knob is threaded
-     * through so callers sweeping wall-clock configurations (e.g.
-     * bench_fig4) can toggle it in one place.
-     */
-    bool overlapScan = true;
-
     /** Abort with OOM when the modeled peak exceeds memory. */
     bool enforceMemoryLimit = true;
 };
@@ -77,11 +66,9 @@ struct MsaPhaseResult
     cachesim::FuncCounters totals;
 
     /**
-     * Pipeline composition counters from the real scans. When the
-     * overlapped native path ran, `scanStats.stages` carries the
-     * per-stage attribution (I/O / prefilter / survivor busy
-     * seconds, queue peaks and waits, prefetch ReaderStats) that
-     * tells a thread sweep where scaling saturates.
+     * Pipeline composition counters from the real scans (always
+     * traced here), summed over every protein and RNA chain
+     * searched.
      */
     msa::SearchStats scanStats;
 

@@ -99,8 +99,8 @@ class BufferedReader
      * Reposition the consumption cursor to absolute file @p offset.
      * A no-op when the offset is already buffered; otherwise the
      * window is dropped and the next read refills from @p offset.
-     * Lets one reader stream priority-reordered chunk sequences
-     * (the staged-scan prefetcher) without reopening the file.
+     * Lets one reader jump between blocks of a file (the AFBC
+     * block reader, io/blockfile.cc) without reopening it.
      */
     void seek(uint64_t offset);
 

@@ -58,7 +58,6 @@ SequenceDatabase::load(const io::Vfs &vfs, io::PageCache &cache,
 
     db.info_.sequenceCount = db.seqs_.size();
     db.fileId_ = id;
-    db.vfs_ = &vfs;
 
     // Cumulative byte offsets: header line plus wrapped residue
     // lines (60 per line, writeFasta's default).

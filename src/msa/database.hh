@@ -95,20 +95,11 @@ class SequenceDatabase
     /** Backing file id in the store. */
     io::FileId fileId() const { return fileId_; }
 
-    /**
-     * File store the database was parsed from (valid while the
-     * store outlives this object). The staged scan's prefetcher
-     * re-streams the FASTA bytes through a BufferedReader, which
-     * needs the Vfs alongside the page cache.
-     */
-    const io::Vfs *vfs() const { return vfs_; }
-
   private:
     DatabaseInfo info_;
     std::vector<bio::Sequence> seqs_;
     std::vector<uint64_t> offsets_;  ///< cumulative FASTA offsets
     io::FileId fileId_ = 0;
-    const io::Vfs *vfs_ = nullptr;
 };
 
 /**

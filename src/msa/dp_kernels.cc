@@ -116,17 +116,18 @@ emitBlock(TraceBatch &out, const KernelConfig &cfg, FuncId func,
                   func});
     }
     // Metadata reference: head line of a pseudo-random arena page
-    // every other block (page-diverse, line-light).
-    if (cell % (2 * 16 * cfg.traceStride) == 0) {
+    // every other block (page-diverse, line-light). The period is
+    // 64-bit: 32 * traceStride wraps to 0 in 32 bits at 2^27.
+    if (cell % (2 * 16 * uint64_t{cfg.traceStride}) == 0) {
         const uint64_t h = arenaHash(cell + cfg.targetBase * 3);
-        const uint64_t page = h % (cfg.arenaBytes / 4096);
+        const uint64_t page = h % (cfg.arenaBytes / kArenaPageBytes);
         // One fixed line per page (the allocator's chunk header),
         // at a hashed page-dependent offset so the line population
         // is spread over all cache sets (page-aligned or otherwise
         // correlated offsets conflict-thrash a subset of sets).
         const uint64_t lineOff = (arenaHash(page) % 64) * 64;
-        out.push({cfg.arenaBase + page * 4096 + lineOff, 8, false,
-                  func});
+        out.push({cfg.arenaBase + page * kArenaPageBytes + lineOff, 8,
+                  false, func});
     }
     // Capacity reference: random line across the whole arena
     // (sampled like everything else, so the stride weight cancels).
@@ -171,13 +172,12 @@ bandBounds(size_t j, size_t target_len, size_t profile_len,
  * ---------------
  * The arithmetic every caller runs, traced or not: per-residue
  * emission rows are transposed into contiguous int/double arrays once
- * per target, and each DP row is computed in stripes the compiler
- * autovectorizes — the M and I states depend only on the previous
- * row, the loop-carried D state runs as a short scalar second pass.
- * Their integer results (scores, endpoints, cell counts) are
- * bit-identical to the cell-by-cell scalar recurrence; the striped
- * Forward agrees with it to within FP contraction, so traced runs use
- * calcBand10Ordered instead.
+ * per target, and each DP row of MSV and Viterbi is computed in
+ * stripes the compiler autovectorizes — the M and I states depend
+ * only on the previous row, the loop-carried D state runs as a short
+ * scalar second pass. Their integer results (scores, endpoints, cell
+ * counts) are bit-identical to the cell-by-cell scalar recurrence.
+ * Forward keeps the scalar cell order (calcBand10Ordered).
  */
 
 /** Transposed per-residue int emission rows, filled lazily so short
@@ -356,94 +356,15 @@ calcBand9Fast(const ProfileHmm &prof, const bio::Sequence &target,
     return result;
 }
 
-AFSB_SIMD_CLONES
-ForwardResult
-calcBand10Fast(const ProfileHmm &prof, const bio::Sequence &target,
-               const KernelConfig &cfg)
-{
-    const size_t M = prof.length();
-    const size_t L = target.length();
-    ForwardResult result;
-
-    constexpr double tMM = 0.90, tIM = 0.40, tDM = 0.40;
-    constexpr double tMI = 0.05, tII = 0.60;
-    constexpr double tMD = 0.05, tDD = 0.60;
-    const double entry = 1.0 / static_cast<double>(M);
-    DoubleEmissions emit(prof);
-
-    std::vector<double> bufs[6];
-    for (auto &b : bufs)
-        b.assign(M + 1, 0.0);
-    double *pM = bufs[0].data(), *pI = bufs[1].data(),
-           *pD = bufs[2].data();
-    double *cM = bufs[3].data(), *cI = bufs[4].data(),
-           *cD = bufs[5].data();
-
-    double total = 0.0;
-    double logScale = 0.0;
-    uint64_t cells = 0;
-    for (size_t j = 1; j <= L; ++j) {
-        const double *AFSB_RESTRICT e = emit.row(target[j - 1]);
-        size_t kLo, kHi;
-        bandBounds(j, L, M, cfg.band, kLo, kHi);
-        std::fill(cM, cM + M + 1, 0.0);
-        std::fill(cI, cI + M + 1, 0.0);
-        std::fill(cD, cD + M + 1, 0.0);
-
-        {
-            const double *AFSB_RESTRICT prevM = pM;
-            const double *AFSB_RESTRICT prevI = pI;
-            const double *AFSB_RESTRICT prevD = pD;
-            double *AFSB_RESTRICT curM = cM;
-            double *AFSB_RESTRICT curI = cI;
-            AFSB_VECTORIZE_LOOP
-            for (size_t k = kLo; k <= kHi; ++k) {
-                curM[k] = e[k - 1] *
-                          (prevM[k - 1] * tMM + prevI[k - 1] * tIM +
-                           prevD[k - 1] * tDM + entry);
-                curI[k] = prevM[k] * tMI + prevI[k] * tII;
-            }
-        }
-        for (size_t k = kLo; k <= kHi; ++k)
-            cD[k] = cM[k - 1] * tMD + cD[k - 1] * tDD;
-
-        // Exit mass and row max in the scalar loop's ascending-k
-        // accumulation order, so `total` sums identically.
-        double rowMax = 0.0;
-        for (size_t k = kLo; k <= kHi; ++k) {
-            total += cM[k] * 0.05;
-            rowMax = std::max(rowMax, cM[k]);
-        }
-
-        if (rowMax > 1e100) {
-            const double inv = 1e-100;
-            for (size_t k = kLo; k <= kHi; ++k) {
-                cM[k] *= inv;
-                cI[k] *= inv;
-                cD[k] *= inv;
-            }
-            total *= inv;
-            logScale += 100.0 * std::log2(10.0);
-        }
-        cells += kHi - kLo + 1;
-        std::swap(pM, cM);
-        std::swap(pI, cI);
-        std::swap(pD, cD);
-    }
-    result.logOdds =
-        total > 0.0 ? std::log2(total) + logScale : -1e9;
-    result.cells = cells;
-    return result;
-}
-
 /**
  * Forward in the cell-by-cell scalar order: the same expressions,
  * evaluated and accumulated one cell at a time in ascending k, with
  * the emission probability read from the per-residue table (the same
- * exp2 call per (pos, res), so the values are bit-identical). This is
- * the traced path's arithmetic — its log-odds bits are part of the
- * simulator contract, and the striped Forward only agrees to within
- * FP contraction.
+ * exp2 call per (pos, res), so the values are bit-identical). Traced
+ * and untraced calls share it. It is not striped: the serial D chain
+ * (a multiply and an add per cell) bounds the row either way, and a
+ * striped version's extra passes over each row cost about what its
+ * vector M/I pass saves.
  */
 ForwardResult
 calcBand10Ordered(const ProfileHmm &prof, const bio::Sequence &target,
@@ -647,18 +568,6 @@ alignToProfileFast(const ProfileHmm &prof, const bio::Sequence &target)
     return result;
 }
 
-/** A zero stride would divide by zero in emitBlock and never advance
- *  the sampled-cell walk: reject it as a configuration error. */
-inline void
-requireTraceStride(const KernelConfig &cfg, const MemTraceSink *sink,
-                   const char *kernel)
-{
-    if (sink && cfg.traceStride == 0)
-        fatal(std::string(kernel) +
-              ": KernelConfig::traceStride must be at least 1 when "
-              "a trace sink is attached");
-}
-
 /**
  * Emit the reference bundles of a kernel's sampled cells — cell
  * index ≡ 0 mod kSimdWidth·traceStride in row-major cell order — in
@@ -708,11 +617,30 @@ traceSampledCells(const ProfileHmm &prof, const bio::Sequence &target,
 
 } // namespace
 
+void
+requireTraceConfig(const KernelConfig &cfg, const char *who)
+{
+    // A zero stride would divide by zero in emitBlock and never
+    // advance the sampled-cell walk; an arena below one page leaves
+    // emitBlock no page (or line) to pick.
+    if (cfg.traceStride == 0)
+        fatal(std::string(who) +
+              ": KernelConfig::traceStride must be at least 1 for a "
+              "traced call");
+    if (cfg.arenaBytes < kArenaPageBytes)
+        fatal(std::string(who) +
+              ": KernelConfig::arenaBytes must be at least " +
+              std::to_string(kArenaPageBytes) +
+              " for a traced call (got " +
+              std::to_string(cfg.arenaBytes) + ")");
+}
+
 MsvResult
 msvFilter(const ProfileHmm &prof, const bio::Sequence &target,
           const KernelConfig &cfg, MemTraceSink *sink)
 {
-    requireTraceStride(cfg, sink, "msvFilter");
+    if (sink)
+        requireTraceConfig(cfg, "msvFilter");
     if (target.length() == 0 || prof.length() == 0)
         return {};
     const MsvResult result = msvFilterFast(prof, target);
@@ -731,7 +659,8 @@ ViterbiResult
 calcBand9(const ProfileHmm &prof, const bio::Sequence &target,
           const KernelConfig &cfg, MemTraceSink *sink)
 {
-    requireTraceStride(cfg, sink, "calcBand9");
+    if (sink)
+        requireTraceConfig(cfg, "calcBand9");
     if (target.length() == 0 || prof.length() == 0)
         return {};
     const ViterbiResult result = calcBand9Fast(prof, target, cfg);
@@ -748,12 +677,13 @@ ForwardResult
 calcBand10(const ProfileHmm &prof, const bio::Sequence &target,
            const KernelConfig &cfg, MemTraceSink *sink)
 {
-    requireTraceStride(cfg, sink, "calcBand10");
+    if (sink)
+        requireTraceConfig(cfg, "calcBand10");
     if (target.length() == 0 || prof.length() == 0)
         return {};
-    if (sink == nullptr)
-        return calcBand10Fast(prof, target, cfg);
     const ForwardResult result = calcBand10Ordered(prof, target, cfg);
+    if (sink == nullptr)
+        return result;
     const FuncId func = wellknown::calcBand10();
     traceSampledCells(prof, target, cfg, sink, func, true,
                       sizeof(double));

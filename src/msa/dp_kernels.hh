@@ -24,17 +24,15 @@
  *
  * One arithmetic path, a separate trace walk
  * ------------------------------------------
- * The scores always come from branch-light striped loops over
- * transposed per-residue emission rows, written so the compiler
+ * The scores come from the same loops whether or not a sink is
+ * attached. msvFilter and calcBand9 run branch-light striped loops
+ * over transposed per-residue emission rows, written so the compiler
  * autovectorizes the previous-row-only recurrences (M/I states; the
- * loop-carried D state runs as a short scalar pass). msvFilter and
- * calcBand9 return bit-identical results to the cell-by-cell scalar
- * recurrence whether or not a sink is attached. calcBand10 runs the
- * striped Forward untraced; with a sink it keeps the scalar cell
- * order (same expressions, same ascending-k accumulation) over the
- * same per-residue exp2 table, because its log-odds bits are part of
- * the traced contract and the striped Forward agrees only to within
- * FP contraction.
+ * loop-carried D state runs as a short scalar pass), and return
+ * bit-identical results to the cell-by-cell scalar recurrence.
+ * calcBand10 keeps the scalar cell order (same expressions, same
+ * ascending-k accumulation) over a per-residue exp2 table, so its
+ * log-odds bits equal the scalar recurrence's too.
  *
  * With a sink attached, the trace comes from a separate walk over
  * only the sampled cells (one 16-cell SIMD block in traceStride).
@@ -71,7 +69,7 @@ struct KernelConfig
      * one 16-cell SIMD block in @p traceStride emits its memory
      * references (the consumer weights misses back by the same
      * stride). 1 = every block; 0 is rejected with a FatalError
-     * when a sink is attached.
+     * when a sink is attached (requireTraceConfig).
      */
     uint32_t traceStride = 1;
 
@@ -98,6 +96,8 @@ struct KernelConfig
      *    exceeds Intel's effective LLC share at every thread count
      *    but fits AMD's 64 MiB until thread slicing shrinks the
      *    share — the Table III LLC-miss contrast.
+     *
+     * A traced call needs at least one arena page (kArenaPageBytes).
      */
     uint64_t arenaBase = 0x7f50'0000'0000ull;
     uint64_t arenaBytes = 13ull << 20;
@@ -105,6 +105,18 @@ struct KernelConfig
 
 /** Cells between successive arena capacity references. */
 constexpr uint64_t kArenaCells = 32768;
+
+/** Page size of the sparse-rescue arena's metadata references. */
+constexpr uint64_t kArenaPageBytes = 4096;
+
+/**
+ * Throw a FatalError naming @p who unless @p cfg can drive a traced
+ * call: traceStride at least 1 and arenaBytes at least one arena
+ * page. Every kernel checks this when a sink is attached; the scans
+ * check it once before dispatching workers, so the error surfaces on
+ * the calling thread.
+ */
+void requireTraceConfig(const KernelConfig &cfg, const char *who);
 
 /** SIMD width the instruction/trace accounting assumes (HMMER's
  *  16-lane int8/float vector kernels). */

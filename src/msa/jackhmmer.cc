@@ -18,19 +18,12 @@ runJackhmmer(const bio::Sequence &query, const SequenceDatabase &db,
     ProfileHmm prof = ProfileHmm::fromSequence(query, matrix);
 
     SearchResult last;
-    std::vector<uint32_t> carried;
     for (size_t round = 0; round < cfg.iterations; ++round) {
         SearchConfig roundCfg = cfg.search;
         roundCfg.streamEpoch =
             cfg.search.streamEpoch + static_cast<uint32_t>(round);
-        // Pre-order this pass by the previous round's survivor set:
-        // the expensive banded rescans surface first and overlap
-        // the rest of the database stream.
-        if (cfg.carrySurvivors && !carried.empty())
-            roundCfg.priorityTargets = &carried;
         last = searchDatabase(prof, db, cache, pool, roundCfg,
                               now + out.stats.ioLatency, sinks);
-        carried = last.msvSurvivors;
         out.perRound.push_back(last.stats);
         out.stats.merge(last.stats);
         ++out.rounds;

@@ -26,16 +26,6 @@ struct JackhmmerConfig
 
     /** Search rounds (HMMER default 5; AF3 pipelines use fewer). */
     size_t iterations = 2;
-
-    /**
-     * Feed each round's MSV-survivor set to the next round as
-     * `SearchConfig::priorityTargets` (AF_Cache-style cross-round
-     * reuse): the overlapped scan streams and prefilters those
-     * chunks first, so the band-heavy targets that dominated the
-     * last pass overlap the re-stream of everything else. Never
-     * changes hits.
-     */
-    bool carrySurvivors = true;
 };
 
 /** Result of a full jackhmmer run for one chain. */

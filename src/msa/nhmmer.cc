@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "msa/memory_model.hh"
-#include "msa/staged_scan.hh"
 #include "util/logging.hh"
 
 namespace afsb::msa {
@@ -31,9 +30,8 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
 {
     if (query.type() == bio::MoleculeType::Protein)
         fatal("nhmmer: nucleotide queries only");
-    if (!sinks.empty() && cfg.search.kernel.traceStride == 0)
-        fatal("nhmmer: KernelConfig::traceStride must be at least 1 "
-              "for a traced scan");
+    if (!sinks.empty())
+        requireTraceConfig(cfg.search.kernel, "nhmmer");
 
     NhmmerResult out;
     out.modeledPeakMemory = nhmmerPeakMemoryBytes(query.length());
@@ -141,131 +139,17 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
         }
     };
 
-    SearchResult combined;
-    const bool overlapped =
-        sinks.empty() && cfg.search.overlap && workers >= 2 &&
-        pool && !ThreadPool::inWorker() && db.vfs() &&
-        !windows.empty();
-
     std::vector<SearchStats> partial;
     std::vector<std::vector<Hit>> partialHits;
-    if (overlapped) {
-        // Staged overlapped scan over the window list: the producer
-        // streams the database file (window-proportional byte
-        // ranges, sequential in window order) while prefilter
-        // workers fan out over window chunks and survivor workers
-        // drain the banded rescoring dynamically — the same
-        // pipeline searchDatabase uses, so nhmmer's RNA windows get
-        // the identical skew/overlap treatment.
-        const uint64_t dbBytes = db.info().scaledBytes;
-        const size_t nWin = windows.size();
-        auto fileOff = [&](size_t k) {
-            return dbBytes * static_cast<uint64_t>(k) /
-                   static_cast<uint64_t>(nWin);
-        };
-
-        staged::ScanShape shape;
-        shape.workers = workers;
-        shape.targets = nWin;
-        shape.grain = scanGrain(nWin, workers);
-        shape.prefetchChunks = cfg.search.prefetchChunks;
-        shape.survivorDepth = cfg.search.survivorQueueDepth;
-
-        io::BufferedReader reader(db.vfs(), &cache, db.fileId());
-        std::vector<std::vector<char>> slabs(
-            std::max<size_t>(2, cfg.search.prefetchChunks));
-        const size_t grain = shape.grain;
-        uint64_t maxChunkBytes = 1;
-        for (size_t b = 0; b < nWin; b += grain)
-            maxChunkBytes = std::max(
-                maxChunkBytes,
-                fileOff(std::min(nWin, b + grain)) - fileOff(b));
-        for (auto &s : slabs)
-            s.resize(maxChunkBytes);
-
-        auto stream = [&](size_t chunk, size_t b, size_t e) {
-            const uint64_t off = fileOff(b);
-            const uint64_t len = fileOff(e) - off;
-            if (len == 0)
-                return;
-            reader.seek(off);
-            reader.copyToIter(slabs[chunk % slabs.size()].data(),
-                              static_cast<size_t>(len),
-                              now + reader.stats().ioLatency);
-        };
-
-        partial.resize(workers);
-        partialHits.resize(workers);
-        auto prefilter = [&](size_t w, size_t i) {
-            SearchStats &stats = partial[w];
-            const bio::Sequence &target = windows[i];
-            KernelConfig kernel = cfg.search.kernel;
-            kernel.targetBase =
-                kStreamBase +
-                static_cast<uint64_t>(static_cast<double>(i) *
-                                      bytesPerWindow);
-            ++stats.targetsScanned;
-            stats.residuesScanned += target.length();
-            const auto msv =
-                msvFilter(prof, target, kernel, nullptr);
-            stats.cellsMsv += msv.cells;
-            if (msv.score <
-                msvThreshold(prof, target.length(), cfg.search))
-                return false;
-            ++stats.msvPassed;
-            return true;
-        };
-        auto rescore = [&](size_t w, size_t i) {
-            SearchStats &stats = partial[w];
-            const bio::Sequence &target = windows[i];
-            KernelConfig kernel = cfg.search.kernel;
-            kernel.targetBase =
-                kStreamBase +
-                static_cast<uint64_t>(static_cast<double>(i) *
-                                      bytesPerWindow);
-            const int threshold =
-                msvThreshold(prof, target.length(), cfg.search);
-            const auto vit =
-                calcBand9(prof, target, kernel, nullptr);
-            stats.cellsViterbi += vit.cells;
-            const auto fwd =
-                calcBand10(prof, target, kernel, nullptr);
-            stats.cellsForward += fwd.cells;
-            if (vit.score < threshold + cfg.search.viterbiMargin)
-                return;
-            ++stats.viterbiPassed;
-            ++stats.domainsScored;
-            if (fwd.logOdds < cfg.search.forwardThreshold)
-                return;
-            ++stats.hits;
-            partialHits[w].push_back(
-                {windowSource[i], vit.score, fwd.logOdds});
-        };
-
-        if (cfg.search.taskScan)
-            staged::runStagedScanTasks(*pool, shape, stream,
-                                       prefilter, rescore,
-                                       combined.stats.stages);
-        else
-            staged::runStagedScan(*pool, shape, stream, prefilter,
-                                  rescore, combined.stats.stages);
-
-        // The producer streamed the whole file; account it the same
-        // way the static path's single sequential read does.
-        combined.stats.bytesStreamed += dbBytes;
-        combined.stats.bytesFromDisk +=
-            reader.stats().bytesFromDisk;
-        combined.stats.ioLatency += reader.stats().ioLatency;
-        combined.stats.stages.reader.merge(reader.stats());
-    } else if (workers <= 1 || !pool) {
+    if (workers <= 1 || !pool) {
         partial.resize(1);
         partialHits.resize(1);
         scan(sinks.empty() ? nullptr : sinks[0], partial[0],
              partialHits[0], 0, windows.size());
     } else if (sinks.empty()) {
-        // Untraced static fallback (overlap off or nested): blocks
-        // finer than the worker count and let the pool balance;
-        // block-order merge keeps results deterministic.
+        // Untraced: blocks finer than the worker count and let the
+        // pool balance; block-order merge keeps results
+        // deterministic.
         const size_t grain = scanGrain(windows.size(), workers);
         const size_t blocks =
             (windows.size() + grain - 1) / grain;
@@ -296,6 +180,7 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
                              });
     }
 
+    SearchResult combined;
     for (size_t w = 0; w < partial.size(); ++w) {
         combined.stats.merge(partial[w]);
         combined.hits.insert(combined.hits.end(),
@@ -303,18 +188,14 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
                              partialHits[w].end());
     }
 
-    if (!overlapped) {
-        // Stream the database bytes once (nhmmer reads the file
-        // sequentially regardless of window results); the
-        // overlapped path already streamed them in its I/O stage.
-        const io::FileId fid = db.fileId();
-        const uint64_t dbBytes = db.info().scaledBytes;
-        const auto io = cache.read(
-            fid, 0, std::max<uint64_t>(1, dbBytes), now);
-        combined.stats.bytesStreamed += dbBytes;
-        combined.stats.bytesFromDisk += io.bytesFromDisk;
-        combined.stats.ioLatency += io.latency;
-    }
+    // Stream the database bytes once (nhmmer reads the file
+    // sequentially regardless of window results).
+    const uint64_t dbBytes = db.info().scaledBytes;
+    const auto io = cache.read(db.fileId(), 0,
+                               std::max<uint64_t>(1, dbBytes), now);
+    combined.stats.bytesStreamed += dbBytes;
+    combined.stats.bytesFromDisk += io.bytesFromDisk;
+    combined.stats.ioLatency += io.latency;
 
     // Deduplicate hits per source target (keep the best window).
     std::sort(combined.hits.begin(), combined.hits.end(),

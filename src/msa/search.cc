@@ -4,33 +4,11 @@
 #include <cmath>
 #include <mutex>
 
-#include "msa/staged_scan.hh"
 #include "util/grain.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
 namespace afsb::msa {
-
-void
-ScanStageStats::merge(const ScanStageStats &other)
-{
-    overlappedScans += other.overlappedScans;
-    chunks += other.chunks;
-    survivorsQueued += other.survivorsQueued;
-    survivorsInline += other.survivorsInline;
-    chunkQueuePeak = std::max(chunkQueuePeak, other.chunkQueuePeak);
-    survivorQueuePeak =
-        std::max(survivorQueuePeak, other.survivorQueuePeak);
-    producerWaits += other.producerWaits;
-    chunkWaits += other.chunkWaits;
-    survivorWaits += other.survivorWaits;
-    ioSeconds += other.ioSeconds;
-    msvSeconds += other.msvSeconds;
-    bandSeconds += other.bandSeconds;
-    wallSeconds += other.wallSeconds;
-    workersUsed = std::max(workersUsed, other.workersUsed);
-    reader.merge(other.reader);
-}
 
 void
 SearchStats::merge(const SearchStats &other)
@@ -47,7 +25,6 @@ SearchStats::merge(const SearchStats &other)
     bytesStreamed += other.bytesStreamed;
     bytesFromDisk += other.bytesFromDisk;
     ioLatency += other.ioLatency;
-    stages.merge(other.stages);
 }
 
 size_t
@@ -231,131 +208,18 @@ scanRange(const ProfileHmm &prof, const SequenceDatabase &db,
                    i, sink, out);
 }
 
-/**
- * Staged overlapped scan (see staged_scan.hh): one producer streams
- * target chunks through a BufferedReader into rotating slabs while
- * the remaining workers prefilter chunks and dynamically drain
- * prefilter survivors. Kernel calls and thresholds are identical to
- * scanRange's, so the hit set is bit-identical to the static path.
- */
+/** Append @p parts to @p out in order (counters merge, hits and
+ *  survivors concatenate; the caller sorts them canonically). */
 void
-scanOverlapped(const ProfileHmm &prof, const SequenceDatabase &db,
-               io::PageCache &cache, ThreadPool &pool,
-               const SearchConfig &cfg, double now, size_t workers,
-               SearchResult &result)
+mergePartials(const std::vector<SearchResult> &parts, SearchResult &out)
 {
-    const auto &targets = db.sequences();
-    const size_t n = db.size();
-
-    staged::ScanShape shape;
-    shape.workers = workers;
-    shape.targets = n;
-    shape.grain = scanGrain(n, workers);
-    shape.prefetchChunks = cfg.prefetchChunks;
-    shape.survivorDepth = cfg.survivorQueueDepth;
-    shape.priority = cfg.priorityTargets;
-
-    // Same per-epoch virtual stream window as scanRange (the
-    // kernels only consult it for trace addresses, but keeping the
-    // configs identical makes path equivalence unconditional).
-    const uint64_t epochBase = streamEpochBase(db, cfg);
-
-    // Stage 1 state: one sequential reader plus rotating staging
-    // slabs sized for the largest chunk. The slab copy is the
-    // copy_to_iter byte movement the parse stage performs in HMMER;
-    // the chunk-queue bound keeps at most `prefetchChunks` slabs in
-    // flight, which is what makes this double buffering rather than
-    // unbounded readahead.
-    io::BufferedReader reader(db.vfs(), &cache, db.fileId());
-    const size_t grain = shape.grain;
-    uint64_t maxChunkBytes = 1;
-    for (size_t b = 0; b < n; b += grain) {
-        const size_t e = std::min(n, b + grain);
-        const auto first = db.byteExtent(b);
-        const auto last = db.byteExtent(e - 1);
-        maxChunkBytes = std::max(
-            maxChunkBytes, last.offset + last.length - first.offset);
+    for (const auto &p : parts) {
+        out.stats.merge(p.stats);
+        out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
+        out.msvSurvivors.insert(out.msvSurvivors.end(),
+                                p.msvSurvivors.begin(),
+                                p.msvSurvivors.end());
     }
-    std::vector<std::vector<char>> slabs(
-        std::max<size_t>(2, cfg.prefetchChunks));
-    for (auto &s : slabs)
-        s.resize(maxChunkBytes);
-
-    SearchStats ioStats;
-    auto stream = [&](size_t chunk, size_t begin, size_t end) {
-        const auto first = db.byteExtent(begin);
-        const auto last = db.byteExtent(end - 1);
-        const uint64_t len =
-            last.offset + last.length - first.offset;
-        reader.seek(first.offset);
-        auto &slab = slabs[chunk % slabs.size()];
-        reader.copyToIter(slab.data(), static_cast<size_t>(len),
-                          now + reader.stats().ioLatency);
-        ioStats.bytesStreamed += len;
-    };
-
-    std::vector<SearchResult> partial(workers);
-    auto prefilter = [&](size_t w, size_t i) {
-        SearchResult &mine = partial[w];
-        const bio::Sequence &target = targets[i];
-        KernelConfig kernel = cfg.kernel;
-        kernel.targetBase = epochBase + db.byteExtent(i).offset;
-
-        ++mine.stats.targetsScanned;
-        mine.stats.residuesScanned += target.length();
-        const auto msv = msvFilter(prof, target, kernel, nullptr);
-        mine.stats.cellsMsv += msv.cells;
-        if (msv.score < msvThreshold(prof, target.length(), cfg))
-            return false;
-        ++mine.stats.msvPassed;
-        mine.msvSurvivors.push_back(static_cast<uint32_t>(i));
-        return true;
-    };
-
-    auto rescore = [&](size_t w, size_t i) {
-        SearchResult &mine = partial[w];
-        const bio::Sequence &target = targets[i];
-        KernelConfig kernel = cfg.kernel;
-        kernel.targetBase = epochBase + db.byteExtent(i).offset;
-        const int threshold =
-            msvThreshold(prof, target.length(), cfg);
-
-        const auto vit = calcBand9(prof, target, kernel, nullptr);
-        mine.stats.cellsViterbi += vit.cells;
-        const auto fwd = calcBand10(prof, target, kernel, nullptr);
-        mine.stats.cellsForward += fwd.cells;
-        if (vit.score < threshold + cfg.viterbiMargin)
-            return;
-        ++mine.stats.viterbiPassed;
-        ++mine.stats.domainsScored;
-        if (fwd.logOdds < cfg.forwardThreshold)
-            return;
-        ++mine.stats.hits;
-        mine.hits.push_back({i, vit.score, fwd.logOdds});
-    };
-
-    if (cfg.taskScan)
-        staged::runStagedScanTasks(pool, shape, stream, prefilter,
-                                   rescore, result.stats.stages);
-    else
-        staged::runStagedScan(pool, shape, stream, prefilter,
-                              rescore, result.stats.stages);
-
-    // Counter merges are commutative, and hit/survivor ordering is
-    // canonicalized by the caller, so worker-order concatenation is
-    // deterministic at any thread count.
-    for (auto &p : partial) {
-        result.stats.merge(p.stats);
-        result.hits.insert(result.hits.end(), p.hits.begin(),
-                           p.hits.end());
-        result.msvSurvivors.insert(result.msvSurvivors.end(),
-                                   p.msvSurvivors.begin(),
-                                   p.msvSurvivors.end());
-    }
-    result.stats.bytesStreamed += ioStats.bytesStreamed;
-    result.stats.bytesFromDisk += reader.stats().bytesFromDisk;
-    result.stats.ioLatency += reader.stats().ioLatency;
-    result.stats.stages.reader.merge(reader.stats());
 }
 
 } // namespace
@@ -370,35 +234,22 @@ searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
     const size_t workers = scanWorkers(cfg, pool, "searchDatabase");
     if (!sinks.empty() && sinks.size() < workers)
         fatal("searchDatabase: fewer sinks than workers");
-    if (!sinks.empty() && cfg.kernel.traceStride == 0)
-        fatal("searchDatabase: KernelConfig::traceStride must be at "
-              "least 1 for a traced scan");
+    if (!sinks.empty())
+        requireTraceConfig(cfg.kernel, "searchDatabase");
 
     SearchResult result;
     // Shard subrange [b, e): the default config covers the whole
-    // database and changes nothing; a shard's slice disables the
-    // overlapped path (its chunk schedule is a whole-file
-    // contract) and partitions only its own targets.
+    // database; a shard's slice partitions only its own targets.
     const size_t b = std::min(cfg.targetBegin, n);
     const size_t e = std::min(cfg.targetEnd, n);
     if (b >= e)
         return result;
     const size_t count = e - b;
-    const bool fullRange = b == 0 && e == n;
 
     std::mutex cacheMutex;
     if (workers <= 1 || !pool) {
         scanRange(prof, db, cache, cacheMutex, cfg, now, b, e,
                   sinks.empty() ? nullptr : sinks[0], result);
-    } else if (fullRange && sinks.empty() && cfg.overlap &&
-               db.vfs() && !ThreadPool::inWorker()) {
-        // Untraced overlapped scan: staged producer/consumer
-        // pipeline with dynamic survivor scheduling. Falls through
-        // to the static partition when the scan is nested inside a
-        // pool worker (bounded queues + nested dispatch would
-        // deadlock) or the database carries no file store.
-        scanOverlapped(prof, db, cache, *pool, cfg, now, workers,
-                       result);
     } else if (sinks.empty()) {
         // Untraced wall-clock scan: targets cost wildly different
         // amounts (MSV survivors run two more kernels), so carve the
@@ -415,14 +266,7 @@ searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
                                         nullptr,
                                         partial[begin / grain]);
                           });
-        for (auto &p : partial) {
-            result.stats.merge(p.stats);
-            result.hits.insert(result.hits.end(), p.hits.begin(),
-                               p.hits.end());
-            result.msvSurvivors.insert(result.msvSurvivors.end(),
-                                       p.msvSurvivors.begin(),
-                                       p.msvSurvivors.end());
-        }
+        mergePartials(partial, result);
     } else {
         // Traced scan: the worker -> sink -> target partition is
         // part of the simulated trace contract; keep the original
@@ -440,14 +284,7 @@ searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
                               begin, end, sinks[w], partial[w]);
                 }
             });
-        for (auto &p : partial) {
-            result.stats.merge(p.stats);
-            result.hits.insert(result.hits.end(), p.hits.begin(),
-                               p.hits.end());
-            result.msvSurvivors.insert(result.msvSurvivors.end(),
-                                       p.msvSurvivors.begin(),
-                                       p.msvSurvivors.end());
-        }
+        mergePartials(partial, result);
     }
 
     // Canonical ordering regardless of which path (and which worker

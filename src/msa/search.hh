@@ -56,65 +56,13 @@ struct SearchConfig
     uint32_t streamEpoch = 0;
 
     /**
-     * Staged overlapped scan (untraced multi-thread path only): an
-     * I/O stage prefetches target chunks through a BufferedReader
-     * into rotating slabs while MSV prefilter workers fan out over
-     * the chunk queue and banded-kernel workers drain prefilter
-     * survivors from a bounded MPMC queue. Off falls back to the
-     * static block-partitioned scan. Traced scans (any sink
-     * attached) always use the static partition — the per-worker
-     * trace streams are the simulator's stability contract.
-     */
-    bool overlap = true;
-
-    /**
-     * Chunk-queue bound: how many prefetched chunks the I/O stage
-     * may run ahead of compute (the double-buffering depth; also
-     * the number of staging slabs).
-     */
-    size_t prefetchChunks = 2;
-
-    /**
-     * Survivor-queue bound. Prefilter workers that would overflow
-     * it rescore a queued survivor themselves (backpressure by
-     * helping), so band-heavy queries throttle the prefilter
-     * instead of growing an unbounded backlog.
-     */
-    size_t survivorQueueDepth = 64;
-
-    /**
-     * Schedule the overlapped scan on the TaskGroup runtime
-     * (staged::runStagedScanTasks): streaming, prefiltering, and
-     * survivor rescoring become work-stealing tasks chained per
-     * chunk — the producer throttles by helping instead of blocking
-     * on the chunk queue, and each MSV survivor's banded rescore is
-     * spawned as its own task instead of crossing an MPMC queue.
-     * Off falls back to the queue-based staged engine. Hit sets,
-     * survivor lists, and pipeline counters are identical either
-     * way; only thread scheduling differs.
-     */
-    bool taskScan = true;
-
-    /**
      * Target index subrange [targetBegin, min(targetEnd, db size))
      * to scan — how a shard scans only its slice of a partitioned
      * database (msa/sharded_search.hh). The default covers the
-     * whole database and leaves every code path (including the
-     * staged overlapped scan) exactly as before; a proper subrange
-     * always uses the statically partitioned scan.
+     * whole database.
      */
     size_t targetBegin = 0;
     size_t targetEnd = SIZE_MAX;
-
-    /**
-     * Optional scan-priority hint: target indices (e.g. the
-     * previous jackhmmer round's MSV survivors) whose chunks are
-     * streamed and prefiltered first, so the expensive banded
-     * rescoring surfaces early and overlaps the remaining stream.
-     * Only consulted by the overlapped path; never changes the hit
-     * set. Not owned; must outlive the call.
-     */
-    const std::vector<uint32_t> *priorityTargets = nullptr;
 };
 
 /** One accepted hit. */
@@ -126,46 +74,19 @@ struct Hit
 };
 
 /**
- * Per-stage counters for the overlapped staged scan. Zero when only
- * the static/serial/traced paths ran. Busy-seconds are real
- * wall-clock (not simulated) and attribute where a thread sweep
- * saturates: I/O-bound scans show producer waits and low compute
- * occupancy; band-skewed scans show survivor-queue pressure.
+ * Always zero. These counters belonged to the staged scan, which is
+ * gone; the struct stays only because perfbench/src/native_fold.cc
+ * reads these four members for its msa.stage.* metrics, and perfbench
+ * changes only in a `[benchmark]` change. That change should drop
+ * the metrics, then this struct.
  */
 struct ScanStageStats
 {
-    uint64_t overlappedScans = 0;   ///< scans that took the staged path
-    uint64_t chunks = 0;            ///< prefetched target chunks
-    uint64_t survivorsQueued = 0;   ///< survivors pushed to the queue
-    uint64_t survivorsInline = 0;   ///< rescored by the pusher (backpressure)
+    uint64_t chunkWaits = 0;
+    uint64_t producerWaits = 0;
+    uint64_t survivorsInline = 0;
 
-    uint64_t chunkQueuePeak = 0;    ///< max prefetched chunks in flight
-    uint64_t survivorQueuePeak = 0; ///< max queued survivors
-    uint64_t producerWaits = 0;     ///< I/O stage blocked on full chunk queue
-    uint64_t chunkWaits = 0;        ///< compute starved waiting for a chunk
-    uint64_t survivorWaits = 0;     ///< drain blocked on an empty survivor queue
-
-    double ioSeconds = 0.0;         ///< producer stage busy time
-    double msvSeconds = 0.0;        ///< prefilter busy time, summed over workers
-    double bandSeconds = 0.0;       ///< survivor-stage busy time, summed
-    double wallSeconds = 0.0;       ///< staged-scan wall time, summed
-    uint64_t workersUsed = 0;       ///< max workers across merged scans
-
-    /** Prefetch-reader counters (refills, copies, disk bytes). */
-    io::ReaderStats reader;
-
-    void merge(const ScanStageStats &other);
-
-    /** Fraction of worker-seconds spent busy in any stage. */
-    double
-    occupancy() const
-    {
-        const double denom = static_cast<double>(workersUsed) *
-                             wallSeconds;
-        return denom > 0.0
-                   ? (ioSeconds + msvSeconds + bandSeconds) / denom
-                   : 0.0;
-    }
+    double occupancy() const { return 0.0; }
 };
 
 /** Aggregated counters for one scan. */
@@ -186,7 +107,7 @@ struct SearchStats
     uint64_t bytesFromDisk = 0;
     double ioLatency = 0.0;       ///< simulated seconds
 
-    /** Staged-scan stage attribution (overlapped path only). */
+    /** Always zero; see ScanStageStats. */
     ScanStageStats stages;
 
     void merge(const SearchStats &other);
@@ -209,10 +130,9 @@ struct SearchResult
     SearchStats stats;
 
     /**
-     * Target indices that passed the MSV prefilter, ascending.
-     * jackhmmer feeds these back as the next round's
-     * `SearchConfig::priorityTargets` so band-heavy targets are
-     * rescanned first (AF_Cache-style cross-round reuse).
+     * Target indices that passed the MSV prefilter, ascending. The
+     * serving similarity tier caches them per query, and its delta
+     * re-search (deltaSearch) rescores only this set.
      */
     std::vector<uint32_t> msvSurvivors;
 };

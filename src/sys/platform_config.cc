@@ -1,11 +1,13 @@
 #include "sys/platform_config.hh"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
 #include "io/textfile.hh"
 #include "util/logging.hh"
+#include "util/str.hh"
 
 namespace afsb::sys {
 
@@ -50,7 +52,9 @@ asUint32(const JsonValue &v, const std::string &context,
 /**
  * The geometry the cache simulator needs: a nonzero size and
  * associativity, and a line size that is a power of two of at least
- * 2 bytes (lines and sets are found by shifts and masks).
+ * 2 bytes (lines and sets are found by shifts and masks). The
+ * simulator keeps state per line, so the line count and the
+ * associativity are capped at kMaxCacheLines.
  */
 void
 checkCache(const CacheGeometry &c, const std::string &context,
@@ -66,6 +70,17 @@ checkCache(const CacheGeometry &c, const std::string &context,
         fatal("platform config " + context + ": " + section +
               ".line_size must be a power of two >= 2 (got " +
               std::to_string(c.lineSize) + ")");
+    if (c.size / c.lineSize > kMaxCacheLines)
+        fatal("platform config " + context + ": " + section +
+              ".size must be at most " +
+              std::to_string(kMaxCacheLines) + " lines (got " +
+              std::to_string(c.size) + " bytes of " +
+              std::to_string(c.lineSize) + "-byte lines)");
+    if (c.associativity > kMaxCacheLines)
+        fatal("platform config " + context + ": " + section +
+              ".associativity must be at most " +
+              std::to_string(kMaxCacheLines) + " (got " +
+              std::to_string(c.associativity) + ")");
 }
 
 JsonValue
@@ -197,6 +212,20 @@ cpuFromJson(const JsonValue &doc, const std::string &context)
     if (c.dtlbEntries == 0)
         fatal("platform config " + context +
               ": cpu.dtlb_entries must be >= 1");
+    if (c.dtlbEntries > kMaxCacheLines)
+        fatal("platform config " + context +
+              ": cpu.dtlb_entries must be at most " +
+              std::to_string(kMaxCacheLines) + " (got " +
+              std::to_string(c.dtlbEntries) + ")");
+    // The simulator scales the LLC by this factor (llcSliceGeometry);
+    // outside (0, 1] the slice is empty, negative or larger than the
+    // cache.
+    if (!std::isfinite(c.llcEffectiveFactor) ||
+        c.llcEffectiveFactor <= 0.0 || c.llcEffectiveFactor > 1.0)
+        fatal("platform config " + context +
+              ": cpu.llc_effective_factor must be finite, above 0 "
+              "and at most 1 (got " +
+              strformat("%g", c.llcEffectiveFactor) + ")");
     if (c.tlbPageBytes < 2 || c.tlbPageBytes > (uint64_t{1} << 31) ||
         !std::has_single_bit(c.tlbPageBytes))
         fatal("platform config " + context +

@@ -16,6 +16,7 @@
 #ifndef AFSB_SYS_PLATFORM_CONFIG_HH
 #define AFSB_SYS_PLATFORM_CONFIG_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,15 @@
 #include "util/json.hh"
 
 namespace afsb::sys {
+
+/**
+ * Cap on each cache level's line count (size / line_size) and
+ * associativity, and on cpu.dtlb_entries: 2^24, which is 1 GiB of
+ * 64-byte lines, 16x the largest LLC any committed or built-in
+ * platform declares (64 MiB). The cache simulator allocates state per
+ * line, so the cap bounds its memory by the config.
+ */
+constexpr uint64_t kMaxCacheLines = uint64_t{1} << 24;
 
 /** Serialize @p platform to the JSON config schema. */
 JsonValue platformToJson(const PlatformSpec &platform);
@@ -33,8 +43,11 @@ JsonValue platformToJson(const PlatformSpec &platform);
  * @throws FatalError on unknown keys, type mismatches, a bad
  *         format/version header, or cache/TLB geometry the cache
  *         simulator cannot model (zero sizes, associativities or
- *         dTLB entries; line and page sizes that are not powers of
- *         two, or pages over 2 GiB).
+ *         dTLB entries; line counts, associativities or dTLB entries
+ *         above kMaxCacheLines; line and page sizes that are not
+ *         powers of two, or pages over 2 GiB; an
+ *         llc_effective_factor that is not finite or outside
+ *         (0, 1]).
  */
 PlatformSpec platformFromJson(const JsonValue &doc,
                               const std::string &context);

@@ -75,14 +75,6 @@ TaskGroup::~TaskGroup()
     sync();
 }
 
-size_t
-TaskGroup::currentSlot() const
-{
-    if (tls_task_ctx.group == this)
-        return tls_task_ctx.slot;
-    return 0; // owner thread outside any task
-}
-
 void
 TaskGroup::launchParticipants()
 {
@@ -158,20 +150,6 @@ TaskGroup::runTask(std::function<void()> fn, size_t slot)
     tls_task_ctx = saved;
     if (!inlineMode_)
         pending_.fetch_sub(1, std::memory_order_release);
-}
-
-bool
-TaskGroup::runOne()
-{
-    if (inlineMode_)
-        return false;
-    const size_t slot =
-        (tls_task_ctx.group == this) ? tls_task_ctx.slot : 0;
-    std::function<void()> fn;
-    if (!popOrSteal(slot, fn))
-        return false;
-    runTask(std::move(fn), slot);
-    return true;
 }
 
 void

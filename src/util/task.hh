@@ -70,15 +70,6 @@ class TaskGroup
     void spawn(std::function<void()> fn);
 
     /**
-     * Run one pending task on the calling thread if any is
-     * available.  Returns false when every deque was empty.  Exposed
-     * so long-running tasks can help drain the group (help-first
-     * backpressure, e.g. the staged-scan producer throttling on its
-     * prefetch window).
-     */
-    bool runOne();
-
-    /**
      * Launch participant loops, help run tasks until none remain,
      * then wait for the participants to retire.  Must be called from
      * the owner thread.  Spawned tasks only start executing once the
@@ -90,19 +81,6 @@ class TaskGroup
 
     /** True while the calling thread is running any TaskGroup task. */
     static bool inTask();
-
-    /**
-     * Runner slots in this group: participants + the owner, >= 1.
-     * Stable across the group's lifetime; use for per-slot state
-     * (stat counters, partial sums merged in slot order).
-     */
-    size_t slots() const { return deques_.size(); }
-
-    /**
-     * Slot of the calling thread: 0 on the owner, 1..P on
-     * participants.  Valid on the owner and inside tasks.
-     */
-    size_t currentSlot() const;
 
     /**
      * Dependency latch: holds a continuation until `count` arrive()

@@ -86,34 +86,16 @@ ThreadPool::parallelFor(size_t n, size_t grain,
         fn(0, n);
         return;
     }
-    if (chunkedStealing_) {
-        // Same block partition, work-stealing execution: blocks start
-        // spread round-robin across per-runner deques and migrate to
-        // idle runners, and the calling thread helps instead of
-        // blocking in wait().
-        TaskGroup group(this, blocks);
-        for (size_t b = 0; b < blocks; ++b) {
-            const size_t begin = b * grain;
-            const size_t end = std::min(n, begin + grain);
-            group.spawn([begin, end, &fn] { fn(begin, end); });
-        }
-        group.sync();
-        return;
+    // Blocks start spread round-robin across per-runner deques and
+    // migrate to idle runners; the calling thread helps instead of
+    // blocking in wait().
+    TaskGroup group(this, blocks);
+    for (size_t b = 0; b < blocks; ++b) {
+        const size_t begin = b * grain;
+        const size_t end = std::min(n, begin + grain);
+        group.spawn([begin, end, &fn] { fn(begin, end); });
     }
-    // Legacy engine: enqueue the whole batch under one lock and wake
-    // every worker at once — per-block submit() would take the lock
-    // and signal `blocks` times, which shows up at fine grains (many
-    // blocks of ~100us work).
-    {
-        std::unique_lock lock(mutex_);
-        for (size_t b = 0; b < blocks; ++b) {
-            const size_t begin = b * grain;
-            const size_t end = std::min(n, begin + grain);
-            tasks_.push([begin, end, &fn] { fn(begin, end); });
-        }
-    }
-    taskCv_.notify_all();
-    wait();
+    group.sync();
 }
 
 void

@@ -313,9 +313,7 @@ TEST(KernelEquivalence, Band10MatchesScalarWithinTolerance)
                 const auto fast = calcBand10(prof, t, cfg);
                 const auto ref = reference::calcBand10(prof, t, cfg);
                 EXPECT_EQ(fast.cells, ref.cells);
-                const double tol =
-                    1e-4 * std::max(1.0, std::abs(ref.logOdds));
-                EXPECT_NEAR(fast.logOdds, ref.logOdds, tol)
+                EXPECT_EQ(fast.logOdds, ref.logOdds)
                     << "M=" << m << " L=" << l << " band=" << band;
             }
         }
@@ -331,8 +329,7 @@ TEST(KernelEquivalence, Band10RescalingPathMatches)
     const auto fast = calcBand10(prof, q);
     const auto ref = reference::calcBand10(prof, q);
     EXPECT_TRUE(std::isfinite(fast.logOdds));
-    EXPECT_NEAR(fast.logOdds, ref.logOdds,
-                1e-4 * std::abs(ref.logOdds));
+    EXPECT_EQ(fast.logOdds, ref.logOdds);
 }
 
 TEST(KernelEquivalence, NucleotideAlphabetMatches)
@@ -353,8 +350,7 @@ TEST(KernelEquivalence, NucleotideAlphabetMatches)
     EXPECT_EQ(fastV.endProfile, refV.endProfile);
     const auto fastF = calcBand10(prof, t);
     const auto refF = reference::calcBand10(prof, t);
-    EXPECT_NEAR(fastF.logOdds, refF.logOdds,
-                1e-4 * std::max(1.0, std::abs(refF.logOdds)));
+    EXPECT_EQ(fastF.logOdds, refF.logOdds);
 }
 
 TEST(KernelEquivalence, TracedPathMatchesReference)
@@ -415,6 +411,66 @@ TEST(KernelConfigValidation, ZeroTraceStrideWithSinkIsFatal)
               reference::msvFilter(prof, t).score);
     EXPECT_EQ(calcBand9(prof, t, cfg).score,
               reference::calcBand9(prof, t).score);
+}
+
+TEST(KernelConfigValidation, HugeTraceStrideTracesCellZeroOnly)
+{
+    // At 2^27 the arena metadata period 2 * 16 * traceStride is 2^32:
+    // computed in 32 bits it wrapped to 0 and divided by zero. In 64
+    // bits only cell 0 of each kernel is sampled, up to the largest
+    // stride the field holds.
+    bio::SequenceGenerator gen(108);
+    const auto q = gen.random("q", MoleculeType::Protein, 40);
+    const auto t = gen.random("t", MoleculeType::Protein, 50);
+    const auto prof = profFor(q);
+    for (uint32_t stride : {(1u << 27) - 1, 1u << 27, 0xffffffffu}) {
+        KernelConfig cfg;
+        cfg.traceStride = stride;
+        CountingTraceSink sink;
+        EXPECT_EQ(msvFilter(prof, t, cfg, &sink).score,
+                  msvFilter(prof, t, cfg).score);
+        EXPECT_EQ(calcBand9(prof, t, cfg, &sink).score,
+                  calcBand9(prof, t, cfg).score);
+        EXPECT_EQ(calcBand10(prof, t, cfg, &sink).logOdds,
+                  calcBand10(prof, t, cfg).logOdds);
+        // Cell 0 emits the profile entry, two DP rows, an arena
+        // metadata line and an arena capacity line (no stream line:
+        // targetBase is 0), so five per kernel.
+        EXPECT_EQ(sink.accesses, 3u * 5u) << "stride " << stride;
+    }
+}
+
+TEST(KernelConfigValidation, SubPageArenaWithSinkIsFatal)
+{
+    // emitBlock picks an arena page as hash % (arenaBytes / 4096):
+    // below one page that divided by zero. Every traced kernel now
+    // rejects it by name, before touching the sink.
+    bio::SequenceGenerator gen(109);
+    const auto q = gen.random("q", MoleculeType::Protein, 40);
+    const auto t = gen.random("t", MoleculeType::Protein, 50);
+    const auto prof = profFor(q);
+    KernelConfig cfg;
+    cfg.arenaBytes = kArenaPageBytes - 1;
+    CountingTraceSink sink;
+    EXPECT_NE(fatalMessage([&] { msvFilter(prof, t, cfg, &sink); })
+                  .find("msvFilter: KernelConfig::arenaBytes must be "
+                        "at least 4096"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { calcBand9(prof, t, cfg, &sink); })
+                  .find("calcBand9: KernelConfig::arenaBytes"),
+              std::string::npos);
+    EXPECT_NE(fatalMessage([&] { calcBand10(prof, t, cfg, &sink); })
+                  .find("calcBand10: KernelConfig::arenaBytes"),
+              std::string::npos);
+    EXPECT_EQ(sink.accesses, 0u);
+
+    // One page is enough; untraced calls never touch the arena.
+    EXPECT_EQ(msvFilter(prof, t, cfg).score,
+              reference::msvFilter(prof, t).score);
+    cfg.arenaBytes = kArenaPageBytes;
+    EXPECT_EQ(calcBand9(prof, t, cfg, &sink).score,
+              reference::calcBand9(prof, t, cfg).score);
+    EXPECT_GT(sink.accesses, 0u);
 }
 
 } // namespace

@@ -91,16 +91,57 @@ TEST_F(JackFixture, SecondRoundFindsAtLeastFirstRoundHits)
     EXPECT_GE(result.perRound[1].hits, result.perRound[0].hits);
 }
 
+/** Same rounds, per-round counters and MSA rows. */
+void
+expectSameRun(const JackhmmerResult &a, const JackhmmerResult &b)
+{
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.stats.msvPassed, b.stats.msvPassed);
+    EXPECT_EQ(a.stats.hits, b.stats.hits);
+    EXPECT_EQ(a.stats.cellsMsv, b.stats.cellsMsv);
+    EXPECT_EQ(a.stats.cellsViterbi, b.stats.cellsViterbi);
+    EXPECT_EQ(a.stats.cellsForward, b.stats.cellsForward);
+    ASSERT_EQ(a.perRound.size(), b.perRound.size());
+    for (size_t r = 0; r < a.perRound.size(); ++r) {
+        EXPECT_EQ(a.perRound[r].msvPassed, b.perRound[r].msvPassed);
+        EXPECT_EQ(a.perRound[r].hits, b.perRound[r].hits);
+    }
+    EXPECT_EQ(a.msa.rowIds, b.msa.rowIds);
+    EXPECT_EQ(a.msa.rows, b.msa.rows);
+}
+
 TEST_F(JackFixture, MultithreadedMatchesSingle)
 {
     JackhmmerConfig cfg;
-    const auto r1 = runJackhmmer(query, db, *cache, nullptr, cfg);
-    ThreadPool pool(4);
-    JackhmmerConfig cfg4 = cfg;
-    cfg4.search.threads = 4;
-    const auto r4 = runJackhmmer(query, db, *cache, &pool, cfg4);
-    EXPECT_EQ(r1.msa.depth(), r4.msa.depth());
-    EXPECT_EQ(r1.stats.hits, r4.stats.hits);
+    cfg.iterations = 3;
+    auto run = [&](ThreadPool *pool, size_t threads) {
+        JackhmmerConfig c = cfg;
+        c.search.threads = threads;
+        return runJackhmmer(query, db, *cache, pool, c);
+    };
+    const auto serial = run(nullptr, 1);
+    EXPECT_GE(serial.rounds, 2u);
+    for (size_t threads : {2u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        expectSameRun(serial, run(&pool, threads));
+    }
+
+    // More threads than the pool has: clamps and still matches.
+    ThreadPool two(2);
+    expectSameRun(serial, run(&two, 16));
+
+    // Repeated runs on one pool match.
+    ThreadPool eight(8);
+    expectSameRun(run(&eight, 8), run(&eight, 8));
+
+    // Cold, then warm, page cache under a pool.
+    ThreadPool four(4);
+    cache->dropAll();
+    const auto cold = run(&four, 4);
+    EXPECT_GT(cold.stats.bytesFromDisk, 0u);
+    const auto warm = run(&four, 4);
+    EXPECT_EQ(warm.stats.bytesFromDisk, 0u);
+    expectSameRun(cold, warm);
 }
 
 TEST_F(JackFixture, RejectsNucleotideQuery)

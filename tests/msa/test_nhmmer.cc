@@ -82,16 +82,53 @@ TEST_F(NhmmerFixture, ModeledMemoryReported)
     EXPECT_GT(result.modeledPeakMemory, 0u);
 }
 
+/** Same windows, counters and MSA rows. */
+void
+expectSameRun(const NhmmerResult &a, const NhmmerResult &b)
+{
+    EXPECT_EQ(a.windowsScanned, b.windowsScanned);
+    EXPECT_EQ(a.stats.targetsScanned, b.stats.targetsScanned);
+    EXPECT_EQ(a.stats.msvPassed, b.stats.msvPassed);
+    EXPECT_EQ(a.stats.viterbiPassed, b.stats.viterbiPassed);
+    EXPECT_EQ(a.stats.hits, b.stats.hits);
+    EXPECT_EQ(a.stats.cellsMsv, b.stats.cellsMsv);
+    EXPECT_EQ(a.stats.cellsViterbi, b.stats.cellsViterbi);
+    EXPECT_EQ(a.stats.cellsForward, b.stats.cellsForward);
+    EXPECT_EQ(a.stats.bytesStreamed, b.stats.bytesStreamed);
+    EXPECT_EQ(a.msa.rowIds, b.msa.rowIds);
+    EXPECT_EQ(a.msa.rows, b.msa.rows);
+}
+
 TEST_F(NhmmerFixture, MultithreadedMatchesSingle)
 {
-    NhmmerConfig cfg;
-    const auto r1 = runNhmmer(query, db, *cache, nullptr, cfg);
-    ThreadPool pool(4);
-    NhmmerConfig cfg4 = cfg;
-    cfg4.search.threads = 4;
-    const auto r4 = runNhmmer(query, db, *cache, &pool, cfg4);
-    EXPECT_EQ(r1.stats.hits, r4.stats.hits);
-    EXPECT_EQ(r1.windowsScanned, r4.windowsScanned);
+    auto run = [&](ThreadPool *pool, size_t threads) {
+        NhmmerConfig cfg;
+        cfg.search.threads = threads;
+        return runNhmmer(query, db, *cache, pool, cfg);
+    };
+    const auto serial = run(nullptr, 1);
+    EXPECT_GT(serial.stats.hits, 0u);
+    for (size_t threads : {2u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        expectSameRun(serial, run(&pool, threads));
+    }
+
+    // More threads than the pool has: clamps and still matches.
+    ThreadPool two(2);
+    expectSameRun(serial, run(&two, 16));
+
+    // Repeated runs on one pool match.
+    ThreadPool eight(8);
+    expectSameRun(run(&eight, 8), run(&eight, 8));
+
+    // Cold, then warm, page cache under a pool.
+    ThreadPool four(4);
+    cache->dropAll();
+    const auto cold = run(&four, 4);
+    EXPECT_GT(cold.stats.bytesFromDisk, 0u);
+    const auto warm = run(&four, 4);
+    EXPECT_EQ(warm.stats.bytesFromDisk, 0u);
+    expectSameRun(cold, warm);
 }
 
 TEST_F(NhmmerFixture, RejectsProteinQuery)

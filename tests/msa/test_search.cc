@@ -100,25 +100,46 @@ TEST_F(SearchFixture, PrefilterKeepsViterbiWorkSmall)
     EXPECT_LT(result.stats.cellsViterbi, result.stats.cellsMsv);
 }
 
+/** Exact comparison of two scan results (hit scores included). */
+void
+expectIdentical(const SearchResult &a, const SearchResult &b)
+{
+    EXPECT_EQ(a.stats.targetsScanned, b.stats.targetsScanned);
+    EXPECT_EQ(a.stats.residuesScanned, b.stats.residuesScanned);
+    EXPECT_EQ(a.stats.msvPassed, b.stats.msvPassed);
+    EXPECT_EQ(a.stats.viterbiPassed, b.stats.viterbiPassed);
+    EXPECT_EQ(a.stats.domainsScored, b.stats.domainsScored);
+    EXPECT_EQ(a.stats.hits, b.stats.hits);
+    EXPECT_EQ(a.stats.cellsMsv, b.stats.cellsMsv);
+    EXPECT_EQ(a.stats.cellsViterbi, b.stats.cellsViterbi);
+    EXPECT_EQ(a.stats.cellsForward, b.stats.cellsForward);
+    EXPECT_EQ(a.stats.bytesStreamed, b.stats.bytesStreamed);
+    ASSERT_EQ(a.hits.size(), b.hits.size());
+    for (size_t i = 0; i < a.hits.size(); ++i) {
+        EXPECT_EQ(a.hits[i].targetIndex, b.hits[i].targetIndex);
+        EXPECT_EQ(a.hits[i].viterbiScore, b.hits[i].viterbiScore);
+        EXPECT_EQ(a.hits[i].forwardLogOdds, b.hits[i].forwardLogOdds);
+    }
+    EXPECT_EQ(a.msvSurvivors, b.msvSurvivors);
+}
+
 TEST_F(SearchFixture, MultithreadedScanMatchesSingleThreaded)
 {
+    // The skewed-workload, clamp, cold-cache and repeated-run inputs
+    // are in test_search_overlap.cc.
     const auto prof =
         ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
-    SearchConfig cfg1;
-    const auto r1 = searchDatabase(prof, db, cache(), nullptr, cfg1);
-
-    ThreadPool pool(4);
-    SearchConfig cfg4;
-    cfg4.threads = 4;
-    const auto r4 = searchDatabase(prof, db, cache(), &pool, cfg4);
-
-    EXPECT_EQ(r1.stats.targetsScanned, r4.stats.targetsScanned);
-    EXPECT_EQ(r1.stats.msvPassed, r4.stats.msvPassed);
-    EXPECT_EQ(r1.stats.hits, r4.stats.hits);
-    EXPECT_EQ(r1.stats.cellsMsv, r4.stats.cellsMsv);
-    ASSERT_EQ(r1.hits.size(), r4.hits.size());
-    for (size_t i = 0; i < r1.hits.size(); ++i)
-        EXPECT_EQ(r1.hits[i].targetIndex, r4.hits[i].targetIndex);
+    auto scan = [&](ThreadPool *pool, size_t threads) {
+        SearchConfig cfg;
+        cfg.threads = threads;
+        return searchDatabase(prof, db, cache(), pool, cfg);
+    };
+    const auto serial = scan(nullptr, 1);
+    EXPECT_GT(serial.stats.msvPassed, 0u);
+    for (size_t threads : {2u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        expectIdentical(serial, scan(&pool, threads));
+    }
 }
 
 TEST_F(SearchFixture, StreamsDatabaseBytesThroughCache)
@@ -173,6 +194,45 @@ TEST_F(SearchFixture, ZeroTraceStrideTracedScanIsFatal)
     EXPECT_GT(searchDatabase(prof, db, cache(), nullptr, cfg)
                   .stats.targetsScanned,
               0u);
+}
+
+TEST_F(SearchFixture, HugeTraceStrideTracedScanCompletes)
+{
+    // At traceStride 2^27 the kernels' arena metadata period used to
+    // wrap to 0 in 32 bits and divide by zero; the traced scan now
+    // completes with the untraced scan's results.
+    const auto prof =
+        ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
+    SearchConfig cfg;
+    cfg.kernel.traceStride = 1u << 27;
+    NullSink sink;
+    const std::vector<MemTraceSink *> sinks = {&sink};
+    expectIdentical(
+        searchDatabase(prof, db, cache(), nullptr, cfg),
+        searchDatabase(prof, db, cache(), nullptr, cfg, 0.0, sinks));
+}
+
+TEST_F(SearchFixture, SubPageArenaTracedScanIsFatal)
+{
+    // The check runs before any worker starts, so it throws on the
+    // calling thread even for a pooled scan.
+    const auto prof =
+        ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
+    SearchConfig cfg;
+    cfg.threads = 2;
+    cfg.kernel.arenaBytes = 4095;
+    NullSink a, b;
+    const std::vector<MemTraceSink *> sinks = {&a, &b};
+    ThreadPool pool(2);
+    try {
+        searchDatabase(prof, db, cache(), &pool, cfg, 0.0, sinks);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "searchDatabase: KernelConfig::arenaBytes"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SearchLowComplexity, PolyQInflatesPipelineWork)

@@ -170,12 +170,11 @@ TEST(TracedDeterminism, MsvGoldenAgainstScalarResult)
 
 TEST(TracedDeterminism, TracedScanIgnoresOverlapKnobs)
 {
-    // A sink-attached database scan must take the scalar static
-    // path regardless of the overlap configuration: the whole trace
-    // stream (reader functions included) has to stay byte-identical
-    // whether the staged pipeline is requested or not, with or
-    // without priority hints. Golden pinned from the pre-overlap
-    // scan path.
+    // A sink-attached scan at threads = 1 runs the serial loop
+    // whether or not it is handed a pool, and its whole trace stream
+    // (reader functions included) keeps the golden pinned from the
+    // pre-overlap scan path. (The name dates from the overlap knobs
+    // this test also swept; they are gone.)
     wellknown::calcBand9();
     wellknown::calcBand10();
 
@@ -197,26 +196,19 @@ TEST(TracedDeterminism, TracedScanIgnoresOverlapKnobs)
     const auto prof =
         ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
 
-    auto tracedHash = [&](bool overlap,
-                          const std::vector<uint32_t> *prio) {
+    auto tracedHash = [&](ThreadPool *pool) {
         SearchConfig cfg;
         cfg.threads = 1;
-        cfg.overlap = overlap;
-        cfg.priorityTargets = prio;
         cfg.kernel.traceStride = 4;
         HashSink sink;
         const std::vector<MemTraceSink *> sinks = {&sink};
-        const auto r =
-            searchDatabase(prof, db, cache, nullptr, cfg, 0.0, sinks);
-        EXPECT_EQ(r.stats.stages.overlappedScans, 0u);
+        searchDatabase(prof, db, cache, pool, cfg, 0.0, sinks);
         return sink.h;
     };
 
-    const uint64_t base = tracedHash(false, nullptr);
-    EXPECT_EQ(base, tracedHash(true, nullptr));
-    std::vector<uint32_t> prio = {5, 3, 1};
-    EXPECT_EQ(base, tracedHash(true, &prio));
-    EXPECT_EQ(base, 0xb68f18131503b870ull);
+    ThreadPool pool(4);
+    EXPECT_EQ(tracedHash(nullptr), 0xb68f18131503b870ull);
+    EXPECT_EQ(tracedHash(&pool), 0xb68f18131503b870ull);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
  * configs under configs/platforms/.
  */
 
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -191,6 +192,16 @@ TEST(PlatformConfig, MalformedCacheGeometryNamesTheKey)
          "cpu.tlb_page_bytes must be"},
         {nullptr, "tlb_page_bytes", uint64_t{1} << 32,
          "cpu.tlb_page_bytes must be"},
+        // Above the line cap the simulator's per-line state would
+        // exhaust memory (std::bad_alloc at 2^50 bytes).
+        {"llc", "size", uint64_t{1} << 50,
+         "cpu.llc.size must be at most 16777216 lines"},
+        {"l2", "size", (sys::kMaxCacheLines + 1) * 64,
+         "cpu.l2.size must be at most 16777216 lines"},
+        {"l1d", "associativity", sys::kMaxCacheLines + 1,
+         "cpu.l1d.associativity must be at most 16777216"},
+        {nullptr, "dtlb_entries", sys::kMaxCacheLines + 1,
+         "cpu.dtlb_entries must be at most 16777216"},
     };
     for (const Case &c : cases) {
         auto doc = sys::platformToJson(sys::desktopPlatform());
@@ -204,6 +215,21 @@ TEST(PlatformConfig, MalformedCacheGeometryNamesTheKey)
             << c.key << " = " << c.value << ": " << what;
     }
 
+    // The LLC is scaled by llc_effective_factor, which must lie in
+    // (0, 1]; a negative factor used to size a slice of ~2^64 bytes.
+    for (const double factor :
+         {-1.0, 0.0, 1.5, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        auto doc = sys::platformToJson(sys::desktopPlatform());
+        doc["cpu"]["llc_effective_factor"] = JsonValue(factor);
+        EXPECT_NE(rejection(doc).find(
+                      "platform config geom.json: "
+                      "cpu.llc_effective_factor must be finite, above "
+                      "0 and at most 1"),
+                  std::string::npos)
+            << factor;
+    }
+
     // The edges of the accepted range still parse.
     auto doc = sys::platformToJson(sys::desktopPlatform());
     doc["cpu"]["l1d"]["line_size"] = JsonValue(uint64_t{2});
@@ -211,6 +237,12 @@ TEST(PlatformConfig, MalformedCacheGeometryNamesTheKey)
     doc["cpu"]["llc"]["size"] = JsonValue(uint64_t{1});
     doc["cpu"]["dtlb_entries"] = JsonValue(uint64_t{1});
     doc["cpu"]["tlb_page_bytes"] = JsonValue(uint64_t{1} << 31);
+    doc["cpu"]["llc_effective_factor"] = JsonValue(1e-9);
+    EXPECT_EQ(rejection(doc), "");
+    doc["cpu"]["l2"]["size"] = JsonValue(sys::kMaxCacheLines * 64);
+    doc["cpu"]["l2"]["associativity"] = JsonValue(sys::kMaxCacheLines);
+    doc["cpu"]["dtlb_entries"] = JsonValue(sys::kMaxCacheLines);
+    doc["cpu"]["llc_effective_factor"] = JsonValue(1.0);
     EXPECT_EQ(rejection(doc), "");
 }
 
@@ -222,7 +254,9 @@ TEST(PlatformConfig, GeometryFixturesAreRejectedWithTheirPath)
          {"bad_llc_size_zero", "bad_l2_associativity_zero",
           "bad_l1d_line_size_zero", "bad_l1d_line_size_48",
           "bad_dtlb_entries_zero", "bad_tlb_page_bytes_zero",
-          "bad_tlb_page_bytes_3000", "bad_tlb_page_bytes_4gib"}) {
+          "bad_tlb_page_bytes_3000", "bad_tlb_page_bytes_4gib",
+          "bad_llc_size_1pib", "bad_dtlb_entries_4g",
+          "bad_llc_effective_factor_negative"}) {
         const std::string path = fixtures + name + ".json";
         try {
             sys::loadPlatformFile(path);

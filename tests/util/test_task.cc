@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -138,41 +136,6 @@ TEST(TaskGroup, GateChainsAcrossStages)
     group.sync();
     EXPECT_TRUE(ok.load());
     EXPECT_EQ(stage2.load(), 8);
-}
-
-TEST(TaskGroup, SlotsAreStableAndInRange)
-{
-    ThreadPool pool(3);
-    TaskGroup group(&pool);
-    ASSERT_GE(group.slots(), 2u);
-    std::mutex m;
-    std::set<size_t> seen;
-    for (int i = 0; i < 64; ++i)
-        group.spawn([&] {
-            std::lock_guard lock(m);
-            seen.insert(group.currentSlot());
-        });
-    group.sync();
-    for (size_t s : seen)
-        EXPECT_LT(s, group.slots());
-}
-
-TEST(TaskGroup, RunOneDrainsFromInsideATask)
-{
-    // Help-first backpressure: a long-running task can retire other
-    // pending tasks with runOne() instead of blocking.
-    ThreadPool pool(2);
-    TaskGroup group(&pool);
-    std::atomic<int> done{0};
-    group.spawn([&] {
-        for (int i = 0; i < 16; ++i)
-            group.spawn([&] { ++done; });
-        while (done.load() < 16)
-            if (!group.runOne())
-                std::this_thread::yield();
-    });
-    group.sync();
-    EXPECT_EQ(done.load(), 16);
 }
 
 TEST(TaskGroup, NestedGroupInsideTaskRunsInline)

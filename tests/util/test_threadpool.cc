@@ -212,28 +212,25 @@ TEST(ThreadPool, ChunkedDispatchFromTaskGroupTaskRunsInline)
 
 TEST(ThreadPool, ChunkedStealingAndLegacyCoverIdentically)
 {
-    // Both engines must produce the exact same block partition; only
-    // the executing threads differ.
+    // The blocks tile [0, n) in grain steps, whichever threads run
+    // them. (The name dates from a second, legacy engine that had to
+    // match this partition; it is gone.)
     ThreadPool pool(4);
-    for (bool stealing : {true, false}) {
-        pool.setChunkedStealing(stealing);
-        std::mutex m;
-        std::vector<std::pair<size_t, size_t>> blocks;
-        pool.parallelFor(95, 7, [&](size_t b, size_t e) {
-            std::lock_guard lock(m);
-            blocks.emplace_back(b, e);
-        });
-        std::sort(blocks.begin(), blocks.end());
-        ASSERT_EQ(blocks.size(), (95u + 6u) / 7u) << stealing;
-        size_t expect = 0;
-        for (auto [b, e] : blocks) {
-            EXPECT_EQ(b, expect);
-            EXPECT_EQ(b % 7, 0u);
-            expect = e;
-        }
-        EXPECT_EQ(expect, 95u);
+    std::mutex m;
+    std::vector<std::pair<size_t, size_t>> blocks;
+    pool.parallelFor(95, 7, [&](size_t b, size_t e) {
+        std::lock_guard lock(m);
+        blocks.emplace_back(b, e);
+    });
+    std::sort(blocks.begin(), blocks.end());
+    ASSERT_EQ(blocks.size(), (95u + 6u) / 7u);
+    size_t expect = 0;
+    for (auto [b, e] : blocks) {
+        EXPECT_EQ(b, expect);
+        EXPECT_EQ(b % 7, 0u);
+        expect = e;
     }
-    pool.setChunkedStealing(true);
+    EXPECT_EQ(expect, 95u);
 }
 
 } // namespace
