@@ -11,6 +11,10 @@ namespace {
 
 /** Greedy-matcher tuning: LZ4-like byte-oriented format. */
 constexpr size_t kMinMatch = 4;
+
+/** Most raw bytes one compressed byte can decode to: a match-length
+ *  extension byte adds at most 255 (every other byte adds less). */
+constexpr uint64_t kMaxExpansion = 255;
 constexpr size_t kMaxDistance = 65535;
 constexpr size_t kHashBits = 13;
 
@@ -259,10 +263,21 @@ BlockFileReader::BlockFileReader(const Vfs *vfs, PageCache *cache,
     const uint64_t blocks = getU64(header + 24);
     if (blockSize_ == 0 && rawSize_ != 0)
         fatal("blockfile: zero block size");
-    if (blockSize_ &&
-        blocks != (rawSize_ + blockSize_ - 1) / blockSize_)
-        fatal("blockfile: index/size mismatch");
+    if (blockSize_ && blocks != rawSize_ / blockSize_ +
+                                    (rawSize_ % blockSize_ != 0))
+        fatal("blockfile: block_count " + std::to_string(blocks) +
+              " does not match raw_size / block_size");
 
+    // Header fields size allocations, so every one is checked
+    // against the file first: the index must fit in it, the blocks
+    // must tile the rest of it exactly, and each block's raw length
+    // must be reachable from its compressed bytes.
+    const uint64_t fileSize = vfs->size(id);
+    if (blocks > (fileSize - sizeof(header)) / 8)
+        fatal("blockfile: block_count " + std::to_string(blocks) +
+              " needs an 8-byte index entry per block, more than the " +
+              std::to_string(fileSize - sizeof(header)) +
+              " bytes after the header");
     blockComp_.resize(blocks);
     blockOffset_.resize(blocks);
     uint64_t off = sizeof(header) + 8 * blocks;
@@ -273,8 +288,26 @@ BlockFileReader::BlockFileReader(const Vfs *vfs, PageCache *cache,
             fatal("blockfile: truncated index");
         blockComp_[b] = getU64(entry);
         blockOffset_[b] = off;
+        if (blockComp_[b] > fileSize - off)
+            fatal("blockfile: block " + std::to_string(b) +
+                  " compressed_size " + std::to_string(blockComp_[b]) +
+                  " runs past the end of the " +
+                  std::to_string(fileSize) + "-byte file");
         off += blockComp_[b];
+        const uint64_t rawLen =
+            std::min<uint64_t>(blockSize_, rawSize_ - b * blockSize_);
+        if (rawLen / kMaxExpansion + (rawLen % kMaxExpansion != 0) >
+            blockComp_[b])
+            fatal("blockfile: raw_size/block_size give block " +
+                  std::to_string(b) + " " + std::to_string(rawLen) +
+                  " raw bytes, more than its " +
+                  std::to_string(blockComp_[b]) +
+                  " compressed bytes can decode to");
     }
+    if (off != fileSize)
+        fatal("blockfile: compressed_size fields cover " +
+              std::to_string(off) + " bytes of the " +
+              std::to_string(fileSize) + "-byte file");
     noteResidency();
 }
 

@@ -70,8 +70,8 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
     }
     out.windowsScanned = windows.size();
 
-    // Scan windows through the same pipeline (single-threaded over
-    // the window list per worker block).
+    // Scan windows through the same cascade as searchDatabase,
+    // partitioned the same way; hits land on the window's source.
     const size_t workers = scanWorkers(cfg.search, pool, "nhmmer");
     if (!sinks.empty() && sinks.size() < workers)
         fatal("nhmmer: fewer sinks than workers");
@@ -83,110 +83,40 @@ runNhmmer(const bio::Sequence &query, const SequenceDatabase &db,
             : static_cast<double>(db.info().scaledBytes) /
                   static_cast<double>(windows.size());
 
-    auto scan = [&](MemTraceSink *sink, SearchStats &stats,
-                    std::vector<Hit> &hitsOut, size_t begin,
-                    size_t end) {
-        KernelConfig kernel = cfg.search.kernel;
-        for (size_t i = begin; i < end; ++i) {
-            const bio::Sequence &target = windows[i];
-            kernel.targetBase =
-                kStreamBase +
-                static_cast<uint64_t>(static_cast<double>(i) *
-                                      bytesPerWindow);
-            ++stats.targetsScanned;
-            stats.residuesScanned += target.length();
-            if (sink) {
-                // Reader-thread parse work for this window.
-                const uint64_t bytes = target.length();
-                sink->instructions(wellknown::addbuf(), bytes * 24);
-                sink->instructions(wellknown::seebuf(), bytes * 9);
-                sink->instructions(wellknown::copyToIter(),
-                                   bytes * 8);
-                sink->branches(wellknown::addbuf(), bytes / 4, 0);
-                sink->access({0x7f70'0000'0000ull +
-                                  kernel.targetBase % (4ull << 20),
-                              64, true, wellknown::addbuf()});
-                const uint64_t step =
-                    64ull * cfg.search.kernel.traceStride;
-                for (uint64_t off = 0; off < bytes; off += step)
-                    sink->access({kernel.targetBase + off, 64, true,
-                                  wellknown::copyToIter()});
+    SearchResult combined = scanPartitioned(
+        windows.size(), workers, pool, sinks,
+        [&](size_t begin, size_t end, MemTraceSink *sink,
+            SearchResult &part) {
+            KernelConfig kernel = cfg.search.kernel;
+            for (size_t i = begin; i < end; ++i) {
+                const bio::Sequence &target = windows[i];
+                kernel.targetBase =
+                    kStreamBase +
+                    static_cast<uint64_t>(static_cast<double>(i) *
+                                          bytesPerWindow);
+                if (sink) {
+                    // Reader-thread parse work for this window.
+                    const uint64_t bytes = target.length();
+                    sink->instructions(wellknown::addbuf(),
+                                       bytes * 24);
+                    sink->instructions(wellknown::seebuf(),
+                                       bytes * 9);
+                    sink->instructions(wellknown::copyToIter(),
+                                       bytes * 8);
+                    sink->branches(wellknown::addbuf(), bytes / 4, 0);
+                    sink->access({0x7f70'0000'0000ull +
+                                      kernel.targetBase % (4ull << 20),
+                                  64, true, wellknown::addbuf()});
+                    const uint64_t step =
+                        64ull * cfg.search.kernel.traceStride;
+                    for (uint64_t off = 0; off < bytes; off += step)
+                        sink->access({kernel.targetBase + off, 64,
+                                      true, wellknown::copyToIter()});
+                }
+                pipelineTarget(prof, target, kernel, cfg.search,
+                               windowSource[i], sink, part);
             }
-            const auto msv = msvFilter(prof, target, kernel, sink);
-            stats.cellsMsv += msv.cells;
-            const int threshold =
-                msvThreshold(prof, target.length(), cfg.search);
-            if (msv.score < threshold)
-                continue;
-            ++stats.msvPassed;
-            const auto vit = calcBand9(prof, target, kernel, sink);
-            stats.cellsViterbi += vit.cells;
-            const auto fwd = calcBand10(prof, target, kernel, sink);
-            stats.cellsForward += fwd.cells;
-            if (vit.score < threshold + cfg.search.viterbiMargin)
-                continue;
-            ++stats.viterbiPassed;
-            ++stats.domainsScored;
-            if (sink)
-                sink->instructions(
-                    wellknown::calcBand10(),
-                    16ull * target.length() * prof.length());
-            if (fwd.logOdds < cfg.search.forwardThreshold)
-                continue;
-            ++stats.hits;
-            hitsOut.push_back(
-                {windowSource[i], vit.score, fwd.logOdds});
-        }
-    };
-
-    std::vector<SearchStats> partial;
-    std::vector<std::vector<Hit>> partialHits;
-    if (workers <= 1 || !pool) {
-        partial.resize(1);
-        partialHits.resize(1);
-        scan(sinks.empty() ? nullptr : sinks[0], partial[0],
-             partialHits[0], 0, windows.size());
-    } else if (sinks.empty()) {
-        // Untraced: blocks finer than the worker count and let the
-        // pool balance; block-order merge keeps results
-        // deterministic.
-        const size_t grain = scanGrain(windows.size(), workers);
-        const size_t blocks =
-            (windows.size() + grain - 1) / grain;
-        partial.resize(blocks);
-        partialHits.resize(blocks);
-        pool->parallelFor(
-            windows.size(), grain, [&](size_t b, size_t e) {
-                scan(nullptr, partial[b / grain],
-                     partialHits[b / grain], b, e);
-            });
-    } else {
-        // Traced: keep the per-worker equal split — the worker ->
-        // sink mapping is part of the trace contract.
-        partial.resize(workers);
-        partialHits.resize(workers);
-        const size_t chunk =
-            (windows.size() + workers - 1) / workers;
-        pool->parallelBlocks(workers,
-                             [&](size_t, size_t wb, size_t we) {
-                                 for (size_t w = wb; w < we; ++w) {
-                                     const size_t b = w * chunk;
-                                     const size_t e = std::min(
-                                         windows.size(), b + chunk);
-                                     if (b < e)
-                                         scan(sinks[w], partial[w],
-                                              partialHits[w], b, e);
-                                 }
-                             });
-    }
-
-    SearchResult combined;
-    for (size_t w = 0; w < partial.size(); ++w) {
-        combined.stats.merge(partial[w]);
-        combined.hits.insert(combined.hits.end(),
-                             partialHits[w].begin(),
-                             partialHits[w].end());
-    }
+        });
 
     // Stream the database bytes once (nhmmer reads the file
     // sequentially regardless of window results).

@@ -75,31 +75,4 @@ ProfileHmm::fromAlignment(
     return p;
 }
 
-ProfileHmm
-ProfileHmm::fromEmissions(std::vector<std::vector<int16_t>> rows,
-                          GapModel gaps)
-{
-    if (rows.empty())
-        fatal("ProfileHmm: no emission rows");
-    const size_t alphabet = rows.front().size();
-    if (alphabet != 20 && alphabet != 4)
-        fatal("ProfileHmm: alphabet must be 20 or 4");
-
-    ProfileHmm p;
-    p.length_ = rows.size();
-    p.alphabet_ = alphabet;
-    p.gaps_ = gaps;
-    p.emissions_.reserve(p.length_ * alphabet);
-    for (const auto &row : rows) {
-        if (row.size() != alphabet)
-            fatal("ProfileHmm: ragged emission rows");
-        for (int16_t s : row) {
-            p.emissions_.push_back(s);
-            p.maxEmission_ =
-                std::max(p.maxEmission_, static_cast<int>(s));
-        }
-    }
-    return p;
-}
-
 } // namespace afsb::msa

@@ -50,14 +50,6 @@ class ProfileHmm
         const std::vector<const bio::Sequence *> &aligned,
         const ScoreMatrix &matrix, GapModel gaps = {});
 
-    /**
-     * Profile from explicit per-position emission rows (HMM file
-     * deserialization). All rows must share one alphabet size of 20
-     * or 4; fatal() otherwise.
-     */
-    static ProfileHmm fromEmissions(
-        std::vector<std::vector<int16_t>> rows, GapModel gaps = {});
-
     /** Number of match states (query length). */
     size_t length() const { return length_; }
 

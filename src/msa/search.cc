@@ -7,6 +7,7 @@
 #include "util/grain.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
+#include "util/task.hh"
 
 namespace afsb::msa {
 
@@ -48,6 +49,57 @@ scanGrain(size_t n, size_t workers)
     return grain::forScan(n, workers);
 }
 
+SearchResult
+scanPartitioned(size_t n, size_t workers, ThreadPool *pool,
+                const std::vector<MemTraceSink *> &sinks,
+                const ScanRange &scan)
+{
+    SearchResult out;
+    if (workers <= 1 || !pool) {
+        scan(0, n, sinks.empty() ? nullptr : sinks[0], out);
+        return out;
+    }
+    std::vector<SearchResult> partial;
+    if (sinks.empty()) {
+        // Untraced wall-clock scan: targets cost wildly different
+        // amounts (MSV survivors run two more kernels), so carve the
+        // range into blocks much finer than the worker count and let
+        // the group balance them. The calling thread runs blocks
+        // too, so the group borrows workers - 1 pool workers.
+        const size_t grain = scanGrain(n, workers);
+        partial.resize((n + grain - 1) / grain);
+        TaskGroup group(pool, workers - 1);
+        for (size_t b = 0; b < partial.size(); ++b)
+            group.spawn([&, b] {
+                const size_t begin = b * grain;
+                scan(begin, std::min(n, begin + grain), nullptr,
+                     partial[b]);
+            });
+        group.sync();
+    } else {
+        partial.resize(workers);
+        const size_t chunk = (n + workers - 1) / workers;
+        pool->parallelBlocks(
+            workers, [&](size_t, size_t wb, size_t we) {
+                for (size_t w = wb; w < we; ++w) {
+                    const size_t begin = w * chunk;
+                    const size_t end = std::min(n, begin + chunk);
+                    if (begin < end)
+                        scan(begin, end, sinks[w], partial[w]);
+                }
+            });
+    }
+
+    for (const auto &p : partial) {
+        out.stats.merge(p.stats);
+        out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
+        out.msvSurvivors.insert(out.msvSurvivors.end(),
+                                p.msvSurvivors.begin(),
+                                p.msvSurvivors.end());
+    }
+    return out;
+}
+
 int
 msvThreshold(const ProfileHmm &prof, size_t target_len,
              const SearchConfig &cfg)
@@ -63,29 +115,6 @@ msvThreshold(const ProfileHmm &prof, size_t target_len,
         std::lround(std::log(ml) / lambda + cfg.msvSlack));
 }
 
-namespace {
-
-/**
- * Per-epoch virtual stream window base: within a pass the scan
- * streams sequentially (prefetchable, compulsory misses once), and
- * every new pass over the collection is fresh — exactly how
- * re-reading a paper-scale database behaves.
- */
-uint64_t
-streamEpochBase(const SequenceDatabase &db, const SearchConfig &cfg)
-{
-    constexpr uint64_t kStreamBase = 0x6000'0000'0000ull;
-    return kStreamBase +
-           static_cast<uint64_t>(cfg.streamEpoch) *
-               (db.info().scaledBytes + (1ull << 20));
-}
-
-/**
- * The filter cascade proper for one parsed target: MSV prefilter,
- * banded Viterbi/Forward on survivors, domain accounting. Shared by
- * the static range scan, the delta re-search, and the streaming
- * scan so every path applies bit-identical thresholds.
- */
 void
 pipelineTarget(const ProfileHmm &prof, const bio::Sequence &target,
                const KernelConfig &kernel, const SearchConfig &cfg,
@@ -128,6 +157,23 @@ pipelineTarget(const ProfileHmm &prof, const bio::Sequence &target,
 
     ++out.stats.hits;
     out.hits.push_back({i, vit.score, fwd.logOdds});
+}
+
+namespace {
+
+/**
+ * Per-epoch virtual stream window base: within a pass the scan
+ * streams sequentially (prefetchable, compulsory misses once), and
+ * every new pass over the collection is fresh — exactly how
+ * re-reading a paper-scale database behaves.
+ */
+uint64_t
+streamEpochBase(const SequenceDatabase &db, const SearchConfig &cfg)
+{
+    constexpr uint64_t kStreamBase = 0x6000'0000'0000ull;
+    return kStreamBase +
+           static_cast<uint64_t>(cfg.streamEpoch) *
+               (db.info().scaledBytes + (1ull << 20));
 }
 
 /**
@@ -208,18 +254,21 @@ scanRange(const ProfileHmm &prof, const SequenceDatabase &db,
                    i, sink, out);
 }
 
-/** Append @p parts to @p out in order (counters merge, hits and
- *  survivors concatenate; the caller sorts them canonically). */
+/** Canonical result order, whichever path (and worker
+ *  interleaving) produced it: hits by descending Forward score with
+ *  the target index as a total-order tie break, survivors
+ *  ascending. */
 void
-mergePartials(const std::vector<SearchResult> &parts, SearchResult &out)
+sortCanonical(SearchResult &result)
 {
-    for (const auto &p : parts) {
-        out.stats.merge(p.stats);
-        out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
-        out.msvSurvivors.insert(out.msvSurvivors.end(),
-                                p.msvSurvivors.begin(),
-                                p.msvSurvivors.end());
-    }
+    std::sort(result.hits.begin(), result.hits.end(),
+              [](const Hit &a, const Hit &b) {
+                  if (a.forwardLogOdds != b.forwardLogOdds)
+                      return a.forwardLogOdds > b.forwardLogOdds;
+                  return a.targetIndex < b.targetIndex;
+              });
+    std::sort(result.msvSurvivors.begin(),
+              result.msvSurvivors.end());
 }
 
 } // namespace
@@ -230,75 +279,21 @@ searchDatabase(const ProfileHmm &prof, const SequenceDatabase &db,
                const SearchConfig &cfg, double now,
                const std::vector<MemTraceSink *> &sinks)
 {
-    const size_t n = db.size();
     const size_t workers = scanWorkers(cfg, pool, "searchDatabase");
     if (!sinks.empty() && sinks.size() < workers)
         fatal("searchDatabase: fewer sinks than workers");
     if (!sinks.empty())
         requireTraceConfig(cfg.kernel, "searchDatabase");
 
-    SearchResult result;
-    // Shard subrange [b, e): the default config covers the whole
-    // database; a shard's slice partitions only its own targets.
-    const size_t b = std::min(cfg.targetBegin, n);
-    const size_t e = std::min(cfg.targetEnd, n);
-    if (b >= e)
-        return result;
-    const size_t count = e - b;
-
     std::mutex cacheMutex;
-    if (workers <= 1 || !pool) {
-        scanRange(prof, db, cache, cacheMutex, cfg, now, b, e,
-                  sinks.empty() ? nullptr : sinks[0], result);
-    } else if (sinks.empty()) {
-        // Untraced wall-clock scan: targets cost wildly different
-        // amounts (MSV survivors run two more kernels), so carve the
-        // range into blocks much finer than the worker count and let
-        // the pool balance them. Partials are merged in block order,
-        // so results are deterministic for a given worker count.
-        const size_t grain = scanGrain(count, workers);
-        const size_t blocks = (count + grain - 1) / grain;
-        std::vector<SearchResult> partial(blocks);
-        pool->parallelFor(count, grain,
-                          [&](size_t begin, size_t end) {
-                              scanRange(prof, db, cache, cacheMutex,
-                                        cfg, now, b + begin, b + end,
-                                        nullptr,
-                                        partial[begin / grain]);
-                          });
-        mergePartials(partial, result);
-    } else {
-        // Traced scan: the worker -> sink -> target partition is
-        // part of the simulated trace contract; keep the original
-        // equal-count split so the streams stay byte-identical.
-        std::vector<SearchResult> partial(workers);
-        const size_t chunk = (count + workers - 1) / workers;
-        pool->parallelBlocks(
-            workers, [&](size_t, size_t wb, size_t we) {
-                for (size_t w = wb; w < we; ++w) {
-                    const size_t begin = b + w * chunk;
-                    const size_t end = std::min(e, begin + chunk);
-                    if (begin >= end)
-                        continue;
-                    scanRange(prof, db, cache, cacheMutex, cfg, now,
-                              begin, end, sinks[w], partial[w]);
-                }
-            });
-        mergePartials(partial, result);
-    }
-
-    // Canonical ordering regardless of which path (and which worker
-    // interleaving) produced the results: hits by descending Forward
-    // score with the target index as a total-order tie break,
-    // survivors ascending.
-    std::sort(result.hits.begin(), result.hits.end(),
-              [](const Hit &a, const Hit &b) {
-                  if (a.forwardLogOdds != b.forwardLogOdds)
-                      return a.forwardLogOdds > b.forwardLogOdds;
-                  return a.targetIndex < b.targetIndex;
-              });
-    std::sort(result.msvSurvivors.begin(),
-              result.msvSurvivors.end());
+    SearchResult result = scanPartitioned(
+        db.size(), workers, pool, sinks,
+        [&](size_t begin, size_t end, MemTraceSink *sink,
+            SearchResult &out) {
+            scanRange(prof, db, cache, cacheMutex, cfg, now, begin,
+                      end, sink, out);
+        });
+    sortCanonical(result);
     return result;
 }
 
@@ -329,18 +324,11 @@ deltaSearch(const ProfileHmm &prof, const SequenceDatabase &db,
     // Acceptance: if the mutated query drops too many of the cached
     // survivors at the prefilter, the cached set likely also misses
     // targets a full scan would now admit — reject and let the
-    // caller fall back to the full sharded scan.
+    // caller fall back to the full scan.
     delta.accepted = delta.survivorsRescored > 0 &&
                      delta.retention() >= min_retention;
 
-    std::sort(delta.result.hits.begin(), delta.result.hits.end(),
-              [](const Hit &a, const Hit &b) {
-                  if (a.forwardLogOdds != b.forwardLogOdds)
-                      return a.forwardLogOdds > b.forwardLogOdds;
-                  return a.targetIndex < b.targetIndex;
-              });
-    std::sort(delta.result.msvSurvivors.begin(),
-              delta.result.msvSurvivors.end());
+    sortCanonical(delta.result);
     return delta;
 }
 
@@ -350,9 +338,6 @@ searchDatabaseStreaming(const ProfileHmm &prof,
                         const SearchConfig &cfg, double now)
 {
     SearchResult result;
-    const size_t n = db.size();
-    const size_t b = std::min(cfg.targetBegin, n);
-    const size_t e = std::min(cfg.targetEnd, n);
 
     // Same per-epoch virtual window as the in-RAM scan so the
     // kernels' trace-address config matches (no sink is ever
@@ -365,7 +350,7 @@ searchDatabaseStreaming(const ProfileHmm &prof,
 
     const uint64_t disk0 = db.readerStats().bytesFromDisk;
     const double lat0 = db.readerStats().ioLatency;
-    for (size_t i = b; i < e; ++i) {
+    for (size_t i = 0; i < db.size(); ++i) {
         // Decode through the bounded block LRU; sequential scans
         // keep at most the decode budget resident, so the loop
         // never materializes the collection.
@@ -380,15 +365,7 @@ searchDatabaseStreaming(const ProfileHmm &prof,
     result.stats.bytesFromDisk +=
         db.readerStats().bytesFromDisk - disk0;
     result.stats.ioLatency += db.readerStats().ioLatency - lat0;
-
-    std::sort(result.hits.begin(), result.hits.end(),
-              [](const Hit &a, const Hit &b) {
-                  if (a.forwardLogOdds != b.forwardLogOdds)
-                      return a.forwardLogOdds > b.forwardLogOdds;
-                  return a.targetIndex < b.targetIndex;
-              });
-    std::sort(result.msvSurvivors.begin(),
-              result.msvSurvivors.end());
+    sortCanonical(result);
     return result;
 }
 

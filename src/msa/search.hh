@@ -18,6 +18,7 @@
 #define AFSB_MSA_SEARCH_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "msa/database.hh"
@@ -54,15 +55,6 @@ struct SearchConfig
      * caches the way re-reading a 60 GiB collection would.
      */
     uint32_t streamEpoch = 0;
-
-    /**
-     * Target index subrange [targetBegin, min(targetEnd, db size))
-     * to scan — how a shard scans only its slice of a partitioned
-     * database (msa/sharded_search.hh). The default covers the
-     * whole database.
-     */
-    size_t targetBegin = 0;
-    size_t targetEnd = SIZE_MAX;
 };
 
 /** One accepted hit. */
@@ -243,6 +235,41 @@ size_t scanWorkers(const SearchConfig &cfg, const ThreadPool *pool,
  * one target per block.
  */
 size_t scanGrain(size_t n, size_t workers);
+
+/** Scans targets [begin, end) into @p out, traced into @p sink
+ *  when it is non-null. */
+using ScanRange = std::function<void(size_t begin, size_t end,
+                                     MemTraceSink *sink,
+                                     SearchResult &out)>;
+
+/**
+ * The partition routine of every database scan (searchDatabase,
+ * runNhmmer): runs @p scan over targets [0, @p n) and merges the
+ * partial results in block order (counters add, hits and survivors
+ * concatenate; the caller sorts them). Three legs:
+ * - serial on the calling thread when @p workers <= 1 or there is
+ *   no pool, traced into sinks[0] if @p sinks is non-empty;
+ * - untraced: blocks of scanGrain(n, workers) targets on at most
+ *   @p workers threads, the calling thread included, so skewed
+ *   per-target cost load-balances;
+ * - traced: one equal slice per worker, slice w traced into
+ *   sinks[w] (the worker -> sink -> target split is part of the
+ *   trace contract).
+ */
+SearchResult scanPartitioned(size_t n, size_t workers,
+                             ThreadPool *pool,
+                             const std::vector<MemTraceSink *> &sinks,
+                             const ScanRange &scan);
+
+/**
+ * The filter cascade for one parsed target, shared by every scan so
+ * all apply bit-identical thresholds: MSV prefilter, banded
+ * Viterbi/Forward on survivors, domain accounting. Survivors and
+ * hits are recorded under target index @p i.
+ */
+void pipelineTarget(const ProfileHmm &prof, const bio::Sequence &target,
+                    const KernelConfig &kernel, const SearchConfig &cfg,
+                    size_t i, MemTraceSink *sink, SearchResult &out);
 
 } // namespace afsb::msa
 

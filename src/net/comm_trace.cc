@@ -23,10 +23,6 @@ msgKindName(MsgKind kind)
         return "cache_result";
     case MsgKind::CacheInsert:
         return "cache_insert";
-    case MsgKind::SurvivorExchange:
-        return "survivor_exchange";
-    case MsgKind::AlignmentGather:
-        return "alignment_gather";
     }
     return "unknown";
 }

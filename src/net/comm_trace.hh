@@ -30,11 +30,9 @@ enum class MsgKind : uint8_t {
     CacheReply,        ///< negative probe reply (control only)
     CacheResult,       ///< cached MSA shipped to the querying node
     CacheInsert,       ///< freshly computed MSA stored on its owner
-    SurvivorExchange,  ///< shard-local scan survivor indices
-    AlignmentGather,   ///< shard-local hit records to the root
 };
 
-constexpr size_t kMsgKinds = 8;
+constexpr size_t kMsgKinds = 6;
 
 /** Canonical lower-snake name (stable; used in traces). */
 const char *msgKindName(MsgKind kind);

@@ -212,8 +212,8 @@ struct ClusterConfig
 
     /**
      * Continuous batching: max requests one GPU dispatch coalesces.
-     * 1 (the default) disables the batch former and reproduces the
-     * solo-dispatch event sequence bit-identically. Larger values
+     * 1 (the default) dispatches every request alone, as a batch of
+     * one with the pre-batching simulator's timing. Larger values
      * group queued requests by XLA token bucket, pad each member to
      * the bucket's execution length, and share one compiled
      * executable + one finalize across the batch.
@@ -310,14 +310,14 @@ struct ClusterResult
      *  byte-identical across runs with identical seeds. */
     std::string faultLog;
 
-    /** True when the run used the batch former (batchMax > 1);
-     *  gates the batching section of reports, so solo-dispatch
-     *  output stays byte-identical to the pre-batching simulator. */
+    /** True when the batch former could coalesce (batchMax > 1);
+     *  gates the batching section of reports, so batchMax 1 output
+     *  stays byte-identical to the pre-batching simulator. */
     bool batchingEnabled = false;
 
     uint32_t gpusPerNode = 1; ///< data-parallel devices per node
 
-    uint64_t batchesFormed = 0;   ///< GPU dispatches via the former
+    uint64_t batchesFormed = 0;   ///< dispatches the former built
     uint64_t batchedRequests = 0; ///< members across all batches
     uint64_t maxBatchOccupancy = 0;
 

@@ -70,6 +70,21 @@ class MsaResultCache
 
         uint64_t misses() const { return lookups - hits; }
 
+        /** Counter-wise sum (whole-cluster aggregate over shards). */
+        Stats &
+        operator+=(const Stats &o)
+        {
+            lookups += o.lookups;
+            hits += o.hits;
+            insertions += o.insertions;
+            evictions += o.evictions;
+            rejected += o.rejected;
+            corrupted += o.corrupted;
+            approxLookups += o.approxLookups;
+            approxHits += o.approxHits;
+            return *this;
+        }
+
         double
         hitRate() const
         {

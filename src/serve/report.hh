@@ -90,7 +90,7 @@ struct SloReport
     } sim;
 
     /** True when the run used continuous batching (batch-max > 1).
-     *  Gates the batching section everywhere, so solo-dispatch
+     *  Gates the batching section everywhere, so batch-max 1
      *  report text is byte-identical to the pre-batching
      *  simulator. */
     bool batchingEnabled = false;

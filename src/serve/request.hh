@@ -114,9 +114,9 @@ struct RequestRecord
      *  compile it waited through. */
     double compileSeconds = 0.0;
 
-    /** Members in the GPU dispatch that served this request: 0 on
-     *  the solo path (batching off), >= 1 through the batch former
-     *  (1 = a singleton batch). */
+    /** Members of the latest GPU dispatch this request rode: 1 for a
+     *  dispatch of one, batching on or off; 0 if it never reached
+     *  the GPU. */
     uint32_t batchSize = 0;
 
     /** Touched by at least one fault, retry, or timeout — the SLO

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <sstream>
 
 #include "io/blockfile.hh"
 #include "io/pagecache.hh"
@@ -197,6 +199,40 @@ TEST_F(BlockFileReaderTest, RejectsMalformedContainers)
     EXPECT_THROW(BlockFileReader(&vfs, &cache, badVersion, 1 * MiB),
                  FatalError);
 }
+
+#ifdef AFSB_REPO_ROOT
+TEST_F(BlockFileReaderTest, HostileHeadersFailNamingTheField)
+{
+    // Each header asks for far more memory than its file holds: an
+    // 8 TiB index, a 1 TiB block from 4 compressed bytes, and block
+    // sizes whose sum wraps around to the file length. Each must be
+    // refused before anything is allocated from it.
+    const std::pair<const char *, const char *> cases[] = {
+        {"block_count_2pow40.afbc", "block_count 1099511627776"},
+        {"raw_size_2pow40.afbc", "raw_size/block_size"},
+        {"compressed_size_wraps.afbc", "compressed_size"},
+    };
+    for (const auto &[name, field] : cases) {
+        std::ifstream in(std::string(AFSB_REPO_ROOT) +
+                             "/tests/data/blockfile/" + name,
+                         std::ios::binary);
+        ASSERT_TRUE(in.good()) << "missing fixture " << name;
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        const FileId id = vfs.createFile(name, bytes.str());
+        try {
+            BlockFileReader reader(&vfs, &cache, id, 1 * MiB);
+            char c;
+            reader.readAt(0, &c, 1, 0.0);
+            ADD_FAILURE() << name << " was read";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << name << ": " << e.what();
+        }
+    }
+}
+#endif
 
 TEST_F(BlockFileReaderTest, StatsTrackCompressionRatio)
 {

@@ -5,7 +5,8 @@
  * counters to the serial loop at any thread count, from a plain
  * caller or from inside a TaskGroup task, across repeated runs, a
  * cold page cache and a clamped thread request. Also covers pooled
- * jackhmmer rounds and the pooled nhmmer window scan.
+ * jackhmmer rounds, the pooled nhmmer window scan, and the thread
+ * count of an untraced pooled scan.
  *
  * The suite names keep their `Overlap` prefix from the overlapped
  * staged scan these cases were written for. That scan is gone; the
@@ -13,6 +14,11 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "bio/seqgen.hh"
 #include "msa/dbgen.hh"
@@ -169,6 +175,29 @@ TEST_F(OverlapFixture, ThreadClampStillScansEverything)
     const auto clamped = scan(&pool, 16);
     expectIdentical(scan(nullptr, 1), clamped);
     EXPECT_EQ(clamped.stats.targetsScanned, db.size());
+}
+
+TEST(ScanPartition, UntracedScanRunsOnItsWorkerCount)
+{
+    // threads = 2 on a 4-worker pool: the calling thread is one of
+    // the two, so at most one pool worker may join the scan. Each
+    // block sleeps so idle workers would have time to steal.
+    ThreadPool pool(4);
+    std::mutex m;
+    std::set<std::thread::id> threads;
+    const auto r = scanPartitioned(
+        256, 2, &pool, {},
+        [&](size_t begin, size_t end, MemTraceSink *,
+            SearchResult &out) {
+            {
+                std::lock_guard lock(m);
+                threads.insert(std::this_thread::get_id());
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            out.stats.targetsScanned += end - begin;
+        });
+    EXPECT_EQ(r.stats.targetsScanned, 256u);
+    EXPECT_LE(threads.size(), 2u);
 }
 
 TEST(OverlapJackhmmer, CarryAndOverlapNeverChangeTheMsa)

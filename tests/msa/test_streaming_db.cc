@@ -133,22 +133,6 @@ TEST_F(StreamingDbFixture, StreamingScanMatchesInRamScanExactly)
     }
 }
 
-TEST_F(StreamingDbFixture, ScanSubrangeHonored)
-{
-    const auto prof =
-        ProfileHmm::fromSequence(query, ScoreMatrix::blosum62());
-    const auto sdb = openStreaming();
-    SearchConfig cfg;
-    cfg.targetBegin = 10;
-    cfg.targetEnd = 40;
-    const auto r = searchDatabaseStreaming(prof, sdb, cfg);
-    EXPECT_EQ(r.stats.targetsScanned, 30u);
-    for (const auto &h : r.hits) {
-        EXPECT_GE(h.targetIndex, 10u);
-        EXPECT_LT(h.targetIndex, 40u);
-    }
-}
-
 TEST_F(StreamingDbFixture, ResidencyStaysWithinDecodeBudget)
 {
     const uint64_t budget = 128 * KiB;

@@ -104,10 +104,13 @@ TEST(Batching, SparseArrivalsMatchSoloDispatchExactly)
                          b.records[i].finishSeconds);
         EXPECT_DOUBLE_EQ(a.records[i].compileSeconds,
                          b.records[i].compileSeconds);
-        EXPECT_EQ(a.records[i].batchSize, 0u); // solo path
-        EXPECT_EQ(b.records[i].batchSize, 1u); // singleton batch
+        // Both dispatch one member at a time: batchSize counts the
+        // dispatch's members, whether or not the former built it.
+        EXPECT_EQ(a.records[i].batchSize, 1u);
+        EXPECT_EQ(b.records[i].batchSize, 1u);
     }
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
+    EXPECT_EQ(a.batchesFormed, 0u); // no former at batchMax 1
     EXPECT_EQ(b.batchesFormed, 3u);
     EXPECT_EQ(b.maxBatchOccupancy, 1u);
     EXPECT_DOUBLE_EQ(b.paddingWasteFraction(), 0.0); // unpadded

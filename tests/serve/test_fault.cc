@@ -21,6 +21,7 @@
 
 #include "core/workspace.hh"
 #include "fault/fault.hh"
+#include "net/topology.hh"
 #include "serve/cluster.hh"
 #include "serve/report.hh"
 
@@ -435,6 +436,112 @@ TEST(Fault, EmptyPlanMatchesCommittedBaseline)
         << "fault-free serving report drifted from the committed "
            "baseline; regenerate with the command above if the "
            "change is intentional";
+}
+
+/** Mixed-size stream (484- and 306-token queries), so SJF reorders
+ *  both stage queues and batches form per token bucket. */
+std::vector<Request>
+mixedWorkload()
+{
+    WorkloadSpec spec;
+    spec.requestsPerSecond = 0.06;
+    spec.durationSeconds = 2500.0;
+    spec.seed = 4242;
+    spec.mix = parseMix("2PV7,7RCE");
+    spec.variantsPerSample = 3;
+    return generateRequests(spec);
+}
+
+/**
+ * Single-node chaos run: SJF, both stage deadlines, and a plan in
+ * which every single-node fault kind fires, including permanent
+ * crashes and retry exhaustion into the degraded path.
+ */
+ClusterConfig
+chaosGoldenConfig(uint32_t batchMax)
+{
+    auto cfg = fastConfig();
+    cfg.msaWorkers = 4;
+    cfg.policy = SchedPolicy::Sjf;
+    cfg.faultPlan = chaosPlan(0x60d);
+    cfg.faultPlan.permanentProb = 0.3;
+    cfg.recovery.maxAttemptsPerStage = 2;
+    cfg.recovery.msaDeadlineSeconds = 3000.0;
+    cfg.recovery.gpuDeadlineSeconds = 150.0;
+    cfg.batchMax = batchMax;
+    if (batchMax > 1)
+        cfg.batchWaitSeconds = 30.0;
+    return cfg;
+}
+
+/** The bytes a chaos golden pins: the canonical SLO text followed
+ *  by the fault log. */
+std::string
+chaosText(const ClusterResult &r)
+{
+    return canonicalSloText(buildSloReport(r)) + r.faultLog;
+}
+
+void
+expectMatchesGolden(const std::string &text, const std::string &name)
+{
+    const std::string path = std::string(AFSB_REPO_ROOT) +
+                             "/tests/data/serve/" + name;
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden: " << path;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(text, golden.str())
+        << "faulted serving run drifted from " << path;
+}
+
+/** Every fault kind a single node can inject fired at least once. */
+void
+expectEverySingleNodeKind(const ClusterResult &r)
+{
+    for (size_t k = 0; k < fault::kFaultKinds; ++k)
+        if (static_cast<fault::FaultKind>(k) !=
+            fault::FaultKind::NodeFailure) {
+            EXPECT_GT(r.faultsByKind[k], 0u)
+                << fault::faultKindName(
+                       static_cast<fault::FaultKind>(k));
+        }
+    EXPECT_GT(r.permanentWorkerLosses, 0u);
+    EXPECT_GT(r.degraded, 0u);
+}
+
+TEST(Fault, SoloChaosRunMatchesCommittedGolden)
+{
+    const auto r = runFast(mixedWorkload(), chaosGoldenConfig(1));
+    expectConservation(r);
+    expectEverySingleNodeKind(r);
+    expectMatchesGolden(chaosText(r), "chaos_solo.txt");
+}
+
+TEST(Fault, BatchedChaosRunMatchesCommittedGolden)
+{
+    const auto r = runFast(mixedWorkload(), chaosGoldenConfig(4));
+    expectConservation(r);
+    expectEverySingleNodeKind(r);
+    EXPECT_GT(r.maxBatchOccupancy, 1u);
+    expectMatchesGolden(chaosText(r), "chaos_batched.txt");
+}
+
+TEST(Fault, NodeKillChaosRunMatchesCommittedGolden)
+{
+    auto cfg = fastConfig();
+    cfg.topology = net::datacenterTopology(2);
+    cfg.faultPlan = chaosPlan(0x2a0d);
+    fault::NodeKill kill;
+    kill.atSeconds = 700.0;
+    kill.node = 1;
+    kill.rebuildSeconds = 250.0;
+    cfg.faultPlan.nodeKills.push_back(kill);
+    const auto r = runFast(mixedWorkload(), cfg);
+    expectConservation(r);
+    EXPECT_EQ(r.nodeKills, 1u);
+    EXPECT_EQ(r.nodeRebuilds, 1u);
+    expectMatchesGolden(chaosText(r), "chaos_2node_kill.txt");
 }
 #endif
 

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <vector>
 
-#include "util/histogram.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -134,31 +133,6 @@ TEST(Stats, EfficiencySeries)
     EXPECT_NEAR(e[1], (100.0 / 55.0) / 2.0, 1e-12);
     EXPECT_NEAR(e[2], (100.0 / 30.0) / 4.0, 1e-12);
     EXPECT_THROW(efficiencySeries({1.0}, {1, 2}), FatalError);
-}
-
-TEST(Histogram, CountsAndQuantiles)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(static_cast<double>(i % 10) + 0.5);
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (size_t b = 0; b < 10; ++b)
-        EXPECT_EQ(h.bucketCount(b), 10u);
-    EXPECT_NEAR(h.mean(), 5.0, 1e-12);
-    EXPECT_NEAR(h.quantile(0.5), 5.5, 1.0);
-}
-
-TEST(Histogram, OutOfRangeGoesToOverflowBins)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(2.0);
-    h.add(0.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 3u);
 }
 
 } // namespace
